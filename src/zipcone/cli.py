@@ -12,8 +12,8 @@ import sys
 from fractions import Fraction
 
 from . import catalog, hasse, zipcones
-from .errors import CapExceeded, ZipconeError
-from .rootdata import RootDatum, build_root_datum, validate_frobenius
+from .errors import BadParams, CapExceeded, ZipconeError
+from .rootdata import RootDatum, build_root_datum, perm_orbits, validate_frobenius
 from .zipcones import ZipContext, make_context
 
 CONE_NAMES = ("gs", "pha", "hw", "lw", "dominant", "idominant", "neglevi")
@@ -21,21 +21,24 @@ CONE_NAMES = ("gs", "pha", "hw", "lw", "dominant", "idominant", "neglevi")
 
 def load_context(path: str) -> ZipContext:
     with open(path) as fh:
-        data = json.load(fh)
-    rdj = data["rootdatum"]
-    rd = build_root_datum(
-        (
-            [tuple(int(x) for x in v) for v in rdj["simple_roots"]],
-            [tuple(int(x) for x in v) for v in rdj["simple_coroots"]],
-        )
-    )
-    if rdj.get("label"):
-        rd = RootDatum(rd.n, rd.simple_roots, rd.simple_coroots, rdj["label"])
-    fj = data["frobenius"]
-    frob = validate_frobenius(
-        rd, int(fj["q"]), [tuple(int(x) for x in row) for row in fj["sigma"]]
-    )
-    return make_context(rd, frob, [int(i) for i in data["levi_indices"]])
+        try:
+            data = json.load(fh)
+            rdj, fj = data["rootdatum"], data["frobenius"]
+            roots = [tuple(int(x) for x in v) for v in rdj["simple_roots"]]
+            coroots = [tuple(int(x) for x in v) for v in rdj["simple_coroots"]]
+            label = rdj.get("label")
+            q = int(fj["q"])
+            sigma = [tuple(int(x) for x in row) for row in fj["sigma"]]
+            levi = [int(i) for i in data["levi_indices"]]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise BadParams(
+                f"malformed context file {path}: {type(exc).__name__}: {exc}"
+            ) from exc
+    rd = build_root_datum((roots, coroots))
+    if label:
+        rd = RootDatum(rd.n, rd.simple_roots, rd.simple_coroots, label)
+    frob = validate_frobenius(rd, q, sigma)
+    return make_context(rd, frob, levi)
 
 
 def context_json(ctx: ZipContext) -> dict:
@@ -65,20 +68,7 @@ def _emit(obj, args, as_text):
 
 def cmd_describe(args) -> int:
     ctx = load_context(args.context)
-    orbits = []
-    seen = set()
-    perm = ctx.frob.sigma_perm
-    for i in range(ctx.rd.r):
-        if i in seen:
-            continue
-        orb = [i]
-        seen.add(i)
-        j = perm[i]
-        while j != i:
-            orb.append(j)
-            seen.add(j)
-            j = perm[j]
-        orbits.append(orb)
+    orbits = [list(orbit) for orbit in perm_orbits(ctx.frob.sigma_perm)]
     delta_table = {}
     for i in range(ctx.rd.r):
         delta_table[str(i)] = [_frac_str(x) for x in zipcones.delta_alpha(ctx, ctx.rd.simple_roots[i])]
@@ -129,8 +119,10 @@ def cmd_cone(args) -> int:
 
 
 def _parse_lambda(text: str, n: int):
-    parts = [p.strip() for p in text.split(",")]
-    vec = tuple(int(p) for p in parts)
+    try:
+        vec = tuple(int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise BadParams(f"lambda must be comma-separated integers, not {text!r}") from exc
     if len(vec) != n:
         raise ZipconeError(f"lambda has {len(vec)} entries, expected {n}")
     return vec
@@ -327,7 +319,7 @@ def main(argv=None) -> int:
     except ZipconeError as exc:
         _error(args, exc, code=1)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _error(args, exc, code=1)
         return 1
 

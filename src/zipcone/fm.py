@@ -2,8 +2,8 @@
 
 Independent conversion oracle for the double description method in `cones`:
 H-representations of V-cones are obtained by eliminating the coefficient
-variables from { x = sum_i t_i g_i, t >= 0 }, and V-representations by
-duality from the same primitive.
+variables from { x = sum_i t_i g_i, t >= 0 }; by duality, the same
+primitive applied to the inequalities gives V-representations.
 
 Row growth is controlled by Chernikov's ancestor rule: every derived row
 carries the set of original rows it was combined from, and a row combined
@@ -100,8 +100,3 @@ def h_from_v(dim: int, gens):
     ineqs = eliminate_tail(rows, dim)
     return [h for h in ineqs if not linalg.is_zero(h)]
 
-
-def v_from_h(dim: int, ineqs):
-    """Generators of {x : <a, x> >= 0} via duality: the H-covectors of the
-    cone generated by the constraint covectors generate the original cone."""
-    return h_from_v(dim, ineqs)

@@ -15,7 +15,7 @@ from importlib import resources
 
 from . import weyl
 from .errors import InvalidCartan, RankTooLarge
-from .rootdata import datum_from_cartan, exceptional_cartan
+from .rootdata import datum_from_cartan, exceptional_cartan, perm_orbits
 from .zipcones import ZipContext
 
 
@@ -204,29 +204,6 @@ def diagram_automorphisms(cartan):
     return sorted(perms)
 
 
-def perm_cycles(perm) -> str:
-    """Cycle notation on 1-based vertices; '()' for the identity."""
-    seen = set()
-    cycles = []
-    for i in range(len(perm)):
-        if i in seen or perm[i] == i:
-            seen.add(i)
-            continue
-        cyc = [i]
-        seen.add(i)
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen.add(j)
-            j = perm[j]
-        k = cyc.index(min(cyc))
-        cycles.append(tuple(cyc[k:] + cyc[:k]))
-    if not cycles:
-        return "()"
-    cycles.sort()
-    return "".join("(" + " ".join(str(v + 1) for v in c) + ")" for c in cycles)
-
-
 # -- triples ----------------------------------------------------------------
 
 
@@ -277,7 +254,10 @@ class DynkinTriple:
         return "+".join(sorted(component_type(self.cartan, c) for c in comps))
 
     def sigma_desc(self) -> str:
-        return perm_cycles(self.sigma)
+        """Cycle notation on 1-based vertices; '()' for the identity."""
+        cycles = [c for c in perm_orbits(self.sigma) if len(c) > 1]
+        text = "".join("(" + " ".join(str(v + 1) for v in c) + ")" for c in cycles)
+        return text or "()"
 
     def descriptor(self):
         return (
@@ -311,24 +291,9 @@ def is_maximal(t: DynkinTriple) -> bool:
 
 def _sigma_component_orbits(t: DynkinTriple):
     comps = _components(t.cartan)
-    find = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            find[v] = ci
-    seen = set()
-    orbits = []
-    for ci, comp in enumerate(comps):
-        if ci in seen:
-            continue
-        orbit = [ci]
-        seen.add(ci)
-        cj = find[t.sigma[comp[0]]]
-        while cj not in seen:
-            orbit.append(cj)
-            seen.add(cj)
-            cj = find[t.sigma[comps[cj][0]]]
-        orbits.append([comps[k] for k in orbit])
-    return orbits
+    find = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    comp_perm = [find[t.sigma[comp[0]]] for comp in comps]
+    return [[comps[k] for k in orbit] for orbit in perm_orbits(comp_perm)]
 
 
 def hodge_filter(t: DynkinTriple) -> bool:
@@ -388,22 +353,9 @@ def _terminal_long(cartan, comp, v) -> bool:
 # -- enumeration -------------------------------------------------------------
 
 
-def _sigma_stable_subsets(r, sigma):
-    orbits = []
-    seen = set()
-    for i in range(r):
-        if i in seen:
-            continue
-        orb = [i]
-        seen.add(i)
-        j = sigma[i]
-        while j != i:
-            orb.append(j)
-            seen.add(j)
-            j = sigma[j]
-        orbits.append(tuple(orb))
+def _sigma_stable_subsets(sigma):
     subsets = [()]
-    for orb in orbits:
+    for orb in perm_orbits(sigma):
         subsets = [s for s in subsets] + [tuple(sorted(s + orb)) for s in subsets]
     return sorted(set(subsets))
 
@@ -446,14 +398,13 @@ def classify(
     require_no_isolated: bool = False,
     maximal_only: bool = False,
     connected_only: bool = True,
-    isolated_sigma_fixed: bool = True,
 ):
     """Brute-force enumeration of triples passing the opposition condition.
 
-    `isolated_sigma_fixed` keeps only triples whose isolated I-vertices are
-    fixed by sigma (under the literal condition a moved isolated vertex can
-    never pass, so this drops nothing; it is exposed for clarity).
-    `require_no_isolated` additionally demands I = I^(>=2).
+    Every sigma-stable I is tried.  An isolated I-vertex is its own
+    opposition image, so the condition keeps only triples whose isolated
+    I-vertices sigma fixes.  `require_no_isolated` additionally demands
+    I = I^(>=2); `maximal_only` keeps the triples passing `is_maximal`.
     """
     if max_rank > 8:
         raise RankTooLarge("max_rank must be <= 8")
@@ -461,15 +412,11 @@ def classify(
     if not connected_only:
         diagrams = diagrams + _disconnected_diagrams(max_rank)
     out = []
-    for label, rank, cart in diagrams:
+    for label, _, cart in diagrams:
         for sigma in diagram_automorphisms(cart):
-            for subset in _sigma_stable_subsets(rank, sigma):
+            for subset in _sigma_stable_subsets(sigma):
                 t = DynkinTriple(label, cart, subset, sigma)
                 if require_no_isolated and t.isolated_i_vertices():
-                    continue
-                if isolated_sigma_fixed and any(
-                    sigma[v] != v for v in t.isolated_i_vertices()
-                ):
                     continue
                 if not opposition_condition(t):
                     continue
@@ -513,7 +460,7 @@ def compare_with_expected(max_rank: int = 8):
     documented degenerate families; the hodge table is the literal allow-list.
     """
     expected = load_expected_tables()
-    triples = classify(max_rank, connected_only=True, isolated_sigma_fixed=True)
+    triples = classify(max_rank, connected_only=True)
 
     def key(label, rank, sigma_desc, iverts):
         return (label, rank, sigma_desc, tuple(sorted(iverts)))
@@ -538,20 +485,13 @@ def compare_with_expected(max_rank: int = 8):
     got_triv = {k for k in got_core if k[2] == "()"}
     got_nontriv = got_core - got_triv
 
-    maximal = {
-        t.descriptor()
-        for t in classify(max_rank, maximal_only=True, connected_only=True)
-    }
+    maximal = {t.descriptor() for t in triples if is_maximal(t)}
     want_max = {
         key(e["type"], e["rank"], e["sigma"], e["I"])
         for e in expected["maximal"]
         if e["rank"] <= max_rank
     }
-    hodge = {
-        t.descriptor()
-        for t in classify(max_rank, maximal_only=True, connected_only=True)
-        if hodge_filter(t)
-    }
+    hodge = {t.descriptor() for t in triples if is_maximal(t) and hodge_filter(t)}
     want_hodge = {
         key(e["type"], e["rank"], e["sigma"], e["I"])
         for e in expected["hodge"]

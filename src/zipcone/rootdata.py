@@ -67,11 +67,18 @@ class RootDatum:
         return self._cache[key]
 
     def root_coefficients(self, root):
-        """Expansion of a root in the simple-root basis (Fractions)."""
-        coeffs = linalg.solve_in_span(self.simple_roots, root)
-        if coeffs is None:
-            raise DimensionMismatch("vector is not in the root lattice span")
-        return coeffs
+        """Expansion of a root in the simple-root basis (integers), read off
+        the record kept by the reflection closure; DimensionMismatch for a
+        vector that is not a root."""
+        self.positive_roots_with_coroots()
+        record = self._cache[("coeffs", tuple(range(self.r)))]
+        root = tuple(root)
+        if root in record:
+            return record[root]
+        neg = linalg.vec_neg(root)
+        if neg in record:
+            return linalg.vec_neg(record[neg])
+        raise DimensionMismatch(f"{root} is not a root")
 
     def is_positive_root_vector(self, root) -> bool:
         return all(c >= 0 for c in self.root_coefficients(root))
@@ -80,42 +87,43 @@ class RootDatum:
         """All positive roots of the sub-system generated by the given simple
         indices (default: all), paired with their coroots.
 
+        The closure starts from the simple roots, and s_i permutes the
+        positive roots other than alpha_i, so it only ever reaches positive
+        roots.  s_i changes only the i-th simple coefficient, by
+        -<beta, alpha_i^vee>, which records every root's coefficients.
+
         Deterministic order: by height (sum of simple coefficients), then lex.
         """
         idx = tuple(range(self.r)) if indices is None else tuple(sorted(indices))
         key = ("posroots", idx)
         if key in self._cache:
             return self._cache[key]
-        pairs = {}
+        pairs, coeffs = {}, {}
         work = []
         for i in idx:
-            pr = (self.simple_roots[i], self.simple_coroots[i])
-            pairs[pr[0]] = pr[1]
-            work.append(pr)
-        seen = set(pairs)
+            root, coroot = self.simple_roots[i], self.simple_coroots[i]
+            pairs[root] = coroot
+            coeffs[root] = tuple(1 if k == i else 0 for k in range(self.r))
+            work.append(root)
         while work:
-            root, coroot = work.pop()
+            root = work.pop()
             for i in idx:
                 nr = linalg.mat_vec(self.reflection_matrix(i), root)
-                if nr in seen or linalg.vec_neg(nr) in seen:
+                if nr in pairs or linalg.vec_neg(nr) in pairs:
                     continue
-                nc = linalg.mat_vec(self.coreflection_matrix(i), coroot)
-                seen.add(nr)
-                pairs[nr] = nc
-                work.append((nr, nc))
-                if len(seen) > 2 * ROOT_CLOSURE_CAP:
+                c = list(coeffs[root])
+                c[i] -= linalg.dot(root, self.simple_coroots[i])
+                pairs[nr] = linalg.mat_vec(self.coreflection_matrix(i), pairs[root])
+                coeffs[nr] = tuple(c)
+                work.append(nr)
+                if len(pairs) > 2 * ROOT_CLOSURE_CAP:
                     raise NonFiniteSystem(
                         f"root closure exceeded cap {ROOT_CLOSURE_CAP}"
                     )
-        result = []
-        for root, coroot in pairs.items():
-            coeffs = self.root_coefficients(root)
-            if all(c >= 0 for c in coeffs):
-                height = sum(coeffs)
-                result.append((height, root, coroot))
-        result.sort(key=lambda t: (t[0], t[1]))
-        out = tuple((root, coroot) for _, root, coroot in result)
+        order = sorted(pairs, key=lambda root: (sum(coeffs[root]), root))
+        out = tuple((root, pairs[root]) for root in order)
         self._cache[key] = out
+        self._cache[("coeffs", idx)] = coeffs
         return out
 
     def positive_roots(self, indices=None):
@@ -276,6 +284,25 @@ def build_root_datum(spec) -> RootDatum:
 def pair(lam, cochar):
     """<lam, delta> for a character and a (rational) cocharacter."""
     return linalg.dot(lam, cochar)
+
+
+def perm_orbits(perm):
+    """Orbits of a permutation of range(len(perm)), each walked i, perm[i],
+    perm[perm[i]], ... from the smallest index not yet visited (so from its
+    own minimum); the orbits come in the order of those minima."""
+    seen = set()
+    orbits = []
+    for i in range(len(perm)):
+        if i in seen:
+            continue
+        orbit = [i]
+        j = perm[i]
+        while j != i:
+            orbit.append(j)
+            j = perm[j]
+        seen.update(orbit)
+        orbits.append(tuple(orbit))
+    return orbits
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,21 @@ import os
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import CapExceeded, InternalError
+from .errors import BadParams, CapExceeded, InternalError
 from .rootdata import FrobeniusDatum, RootDatum
 
 DEFAULT_ENUM_CAP = 5_000_000
 
 
 def enum_cap() -> int:
-    return int(os.environ.get("ZIPCONE_ENUM_CAP", DEFAULT_ENUM_CAP))
+    text = os.environ.get("ZIPCONE_ENUM_CAP", str(DEFAULT_ENUM_CAP))
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BadParams(f"ZIPCONE_ENUM_CAP must be a positive integer, not {text!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -51,14 +58,6 @@ def simple_reflection(rd: RootDatum, i: int) -> WeylElement:
 def reflect(rd: RootDatum, alpha_index: int, lam):
     """s_alpha(lam) = lam - <lam, alpha^vee> alpha."""
     return linalg.mat_vec(rd.reflection_matrix(alpha_index), lam)
-
-
-def act(w: WeylElement, lam):
-    return w.act(lam)
-
-
-def length(w: WeylElement) -> int:
-    return w.length
 
 
 def compose(rd: RootDatum, w1: WeylElement, w2: WeylElement) -> WeylElement:

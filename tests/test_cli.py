@@ -1,5 +1,9 @@
 """CLI behaviour: exit codes, JSON round trips, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +20,19 @@ def u21_path(tmp_path):
     return str(path)
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_json_user_error(code, err):
+    assert code == 1
+    assert json.loads(err)["error"]
+    assert "Traceback" not in err
 
 
 def test_describe_text_and_json(capsys, u21_path):
@@ -49,9 +62,20 @@ def test_member_yes_no(capsys, u21_path):
     assert data["member"] is False and data["violated"]
 
 
-def test_member_bad_lambda_is_user_error(capsys, u21_path):
-    code, _, err = run(capsys, "member", "--context", u21_path, "--which", "pha", "--lambda", "1,2")
-    assert code == 1 and "error" in err
+@pytest.mark.parametrize(
+    "which,lam,enum_cap",
+    [
+        pytest.param("pha", "1,2", None, id="wrong-length"),
+        pytest.param("pha", "a,b", None, id="not-integers"),
+        pytest.param("hw", "0,0,0", "abc", id="enum-cap-not-integer"),
+    ],
+)
+def test_member_bad_lambda_is_user_error(capsys, monkeypatch, u21_path, which, lam, enum_cap):
+    if enum_cap is not None:
+        monkeypatch.setenv("ZIPCONE_ENUM_CAP", enum_cap)
+    code, _, err = run(capsys, "--format", "json", "member", "--context", u21_path,
+                       "--which", which, "--lambda", lam)
+    assert_json_user_error(code, err)
 
 
 def test_include_with_witness(capsys, u21_path):
@@ -97,9 +121,21 @@ def test_reproduce_exit_codes(capsys):
     assert json.loads(err)["error"] == "UnknownPreset"
 
 
-def test_missing_context_file(capsys):
-    code, _, err = run(capsys, "hasse", "--context", "/does/not/exist.json")
-    assert code == 1
+@pytest.mark.parametrize("kind", ["absent", "missing-keys", "not-json", "directory"])
+def test_missing_context_file(capsys, tmp_path, u21_path, kind):
+    path = tmp_path / "ctx.json"
+    if kind == "absent":
+        path = "/does/not/exist.json"
+    elif kind == "missing-keys":
+        data = json.loads(Path(u21_path).read_text())
+        del data["frobenius"]
+        path.write_text(json.dumps(data))
+    elif kind == "not-json":
+        path.write_text("{not json")
+    else:
+        path = tmp_path
+    code, _, err = run(capsys, "--format", "json", "hasse", "--context", str(path))
+    assert_json_user_error(code, err)
 
 
 def test_byte_identical_invocations(capsys, u21_path):
@@ -124,3 +160,26 @@ def test_enum_cap_exit_code_three(capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, "--format", "json", "cone", "--context", str(path), "--which", "hw")
     assert code == 3
     assert json.loads(err)["error"] == "CapExceeded"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--max-rank", "5"),
+        ("describe", "--context", None),
+        ("reproduce", "--example", "SOodd", "--n", "3", "--q", "2"),
+    ],
+    ids=["classify", "describe", "reproduce"],
+)
+def test_stdout_independent_of_hash_seed(u21_path, argv):
+    argv = [u21_path if a is None else a for a in argv]
+    outs = []
+    for seed in ("0", "2718281"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "zipcone.cli", "--format", "json", *argv],
+            env=env, capture_output=True, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]

@@ -182,9 +182,11 @@ def test_disconnected_enumeration_small():
 def test_disconnected_condition_decomposes_over_sigma_orbits():
     # a triple passes iff each sigma-orbit of components passes, and an orbit
     # moved by sigma passes only with empty I on it
-    triples = hasse.classify(4, connected_only=False, isolated_sigma_fixed=False)
+    triples = hasse.classify(4, connected_only=False)
     seen_moved_orbit = False
     for t in triples:
+        # the condition itself keeps only sigma-fixed isolated I-vertices
+        assert all(t.sigma[v] == v for v in t.isolated_i_vertices()), t.descriptor()
         comps = hasse._components(t.cartan)
         for comp in comps:
             img = {t.sigma[v] for v in comp}

@@ -1,10 +1,17 @@
 import pytest
 
-from zipcone import linalg
-from zipcone.errors import DoesNotPreserveBase, InvalidCartan, NotAnAutomorphism
+from zipcone import hasse, linalg
+from zipcone.errors import (
+    DimensionMismatch,
+    DoesNotPreserveBase,
+    InvalidCartan,
+    NotAnAutomorphism,
+)
 from zipcone.rootdata import (
     build_root_datum,
+    datum_from_cartan,
     pair,
+    perm_orbits,
     split_frobenius,
     validate_frobenius,
 )
@@ -76,6 +83,39 @@ def test_g2_has_six_positive_roots():
     positive = {r for r in closure if g2.is_positive_root_vector(r)}
     assert len(positive) == 6
     assert set(g2.positive_roots()) == positive
+
+
+@pytest.mark.parametrize(
+    "source,name",
+    [("cartan", f"{letter}{n}") for letter, n in hasse.CONNECTED_TYPES]
+    + [("label", label) for label in
+       ("GL2", "GL5", "A3", "B2", "B5", "C2", "C4", "D3", "D5", "SO3", "SO9")],
+)
+def test_closure_coefficients_match_linear_solve(source, name):
+    if source == "cartan":
+        rd = datum_from_cartan(hasse.cartan_matrix(name[0], int(name[1:])))
+    else:
+        rd = build_root_datum(name)
+    for root in rd.positive_roots():
+        want = linalg.solve_in_span(rd.simple_roots, root)
+        assert rd.root_coefficients(root) == want, (name, root)
+        assert rd.root_coefficients(linalg.vec_neg(root)) == linalg.vec_neg(want)
+        assert rd.is_positive_root_vector(root)
+        assert not rd.is_positive_root_vector(linalg.vec_neg(root))
+
+
+def test_root_coefficients_reject_non_roots():
+    rd = build_root_datum("B3")
+    for vec in ((0, 0, 0), (2, -2, 0), (1, 1, 1)):
+        with pytest.raises(DimensionMismatch):
+            rd.root_coefficients(vec)
+
+
+def test_perm_orbits_walk_from_smallest_unvisited_index():
+    assert perm_orbits((0, 1, 2)) == [(0,), (1,), (2,)]
+    assert perm_orbits((2, 3, 1, 0)) == [(0, 2, 1, 3)]
+    assert perm_orbits((1, 0, 4, 3, 2)) == [(0, 1), (2, 4), (3,)]
+    assert perm_orbits(()) == []
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,14 @@ def test_pha_cone_so_odd_table():
         assert zipcones.pha_cone(ctx).equal(expect)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_pha_cone_equals_dominant_image_on_catalog(q):
+    # V-route oracle: the image of the dominant cone under h_Z
+    for name, ctx in catalog.standard_catalog(q):
+        image = zipcones.dominant_cone(ctx).image_under(zipcones.hz_map(ctx))
+        assert image.equal(zipcones.pha_cone(ctx)), name
+
+
 def test_k_alpha_so5_closed_form():
     ctx = catalog.preset("SOodd", n=2, q=2)
     rnd = random.Random(11)
