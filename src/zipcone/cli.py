@@ -20,25 +20,55 @@ CONE_NAMES = ("gs", "pha", "hw", "lw", "dominant", "idominant", "neglevi")
 
 
 def load_context(path: str) -> ZipContext:
+    """Read a zipcontext.v1 file.  Every number must be a JSON integer (not a
+    float or a bool), every container a list, and every vector as long as
+    rootdatum.rank; anything else is BadParams."""
     with open(path) as fh:
         try:
             data = json.load(fh)
             rdj, fj = data["rootdatum"], data["frobenius"]
-            roots = [tuple(int(x) for x in v) for v in rdj["simple_roots"]]
-            coroots = [tuple(int(x) for x in v) for v in rdj["simple_coroots"]]
+            rank = _integer(rdj["rank"], "rootdatum.rank")
+            roots = _vectors(rdj["simple_roots"], "rootdatum.simple_roots", rank)
+            coroots = _vectors(rdj["simple_coroots"], "rootdatum.simple_coroots", rank)
             label = rdj.get("label")
-            q = int(fj["q"])
-            sigma = [tuple(int(x) for x in row) for row in fj["sigma"]]
-            levi = [int(i) for i in data["levi_indices"]]
+            q = _integer(fj["q"], "frobenius.q")
+            sigma = _vectors(fj["sigma"], "frobenius.sigma", rank)
+            levi = _integers(data["levi_indices"], "levi_indices")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise BadParams(
                 f"malformed context file {path}: {type(exc).__name__}: {exc}"
             ) from exc
+    if label is not None and not isinstance(label, str):
+        raise BadParams("rootdatum.label must be a string")
     rd = build_root_datum((roots, coroots))
     if label:
         rd = RootDatum(rd.n, rd.simple_roots, rd.simple_coroots, label)
     frob = validate_frobenius(rd, q, sigma)
     return make_context(rd, frob, levi)
+
+
+def _integer(value, where: str) -> int:
+    if type(value) is not int:  # bool is an int subclass; 2.0 is not an integer
+        raise BadParams(f"{where} must be a JSON integer, not {json.dumps(value)}")
+    return value
+
+
+def _integers(value, where: str) -> tuple:
+    return tuple(_integer(x, f"{where}[{i}]") for i, x in enumerate(_list(value, where)))
+
+
+def _vectors(value, where: str, rank: int) -> list:
+    vecs = [_integers(v, f"{where}[{i}]") for i, v in enumerate(_list(value, where))]
+    for i, v in enumerate(vecs):
+        if len(v) != rank:
+            raise BadParams(f"{where}[{i}] has {len(v)} entries, rootdatum.rank is {rank}")
+    return vecs
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise BadParams(f"{where} must be a list, not {json.dumps(value)}")
+    return value
 
 
 def context_json(ctx: ZipContext) -> dict:

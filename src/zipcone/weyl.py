@@ -134,15 +134,14 @@ def enumerate_parabolic(rd: RootDatum, indices, cap: int | None = None):
     return sorted(seen.values(), key=WeylElement.key)
 
 
+def commutes(frob: FrobeniusDatum, w: WeylElement) -> bool:
+    """sigma w = w sigma as lattice maps."""
+    return linalg.mat_mul(frob.sigma, w.matrix) == linalg.mat_mul(w.matrix, frob.sigma)
+
+
 def sigma_fixed(elements, frob: FrobeniusDatum):
     """Elements commuting with sigma as lattice maps (W_{L_0}(F_q))."""
-    out = []
-    for w in elements:
-        if linalg.mat_eq(
-            linalg.mat_mul(frob.sigma, w.matrix), linalg.mat_mul(w.matrix, frob.sigma)
-        ):
-            out.append(w)
-    return out
+    return [w for w in elements if commutes(frob, w)]
 
 
 def opposition_involution(rd: RootDatum, indices):
@@ -163,16 +162,56 @@ def min_coset_reps(rd: RootDatum, indices, ambient=None, cap: int | None = None)
     """Minimal-length representatives ^K W_ambient of W_K \\ W_ambient.
 
     Criterion: w is minimal in its coset iff w^{-1}(alpha_k) is positive for
-    all k in K.
+    all k in K.  Every prefix of a reduced word of such a w is again one, so
+    a BFS by right multiplication that keeps only representatives reaches
+    them all; it carries the vectors w^{-1}(alpha_k), which become
+    s_j w^{-1}(alpha_k) at a step by s_j, so nothing is inverted.  The
+    result is cached on the root datum, and the cap bounds the number of
+    representatives.  Deterministic order: (length, lex of matrix rows).
     """
     idx = tuple(sorted(indices))
     amb = tuple(range(rd.r)) if ambient is None else tuple(sorted(ambient))
-    out = []
-    for w in enumerate_parabolic(rd, amb, cap=cap):
-        inv = linalg.mat_inverse(w.matrix)
-        if all(
-            rd.is_positive_root_vector(linalg.mat_vec(inv, rd.simple_roots[k]))
-            for k in idx
-        ):
-            out.append(w)
-    return out
+    cap = enum_cap() if cap is None else cap
+    key = ("coset_reps", idx, amb)
+    if key not in rd._cache:
+        rd._cache[key] = _coset_bfs(rd, idx, amb, cap)
+    reps = rd._cache[key]
+    if len(reps) > cap:
+        raise CapExceeded(f"coset enumeration exceeded cap {cap}", partial_count=len(reps))
+    return list(reps)
+
+
+def _coset_bfs(rd: RootDatum, idx, amb, cap: int):
+    positive = _positive_root_set(rd)
+    ident = identity_element(rd)
+    seen = {ident.matrix: ident}
+    frontier = [(ident, tuple(rd.simple_roots[k] for k in idx))]
+    while frontier:
+        new_frontier = []
+        for w, inv_images in frontier:
+            for j in amb:
+                if linalg.mat_vec(w.matrix, rd.simple_roots[j]) not in positive:
+                    continue  # ell(w s_j) = ell(w) - 1, already seen
+                mat = linalg.mat_mul(w.matrix, rd.reflection_matrix(j))
+                if mat in seen:
+                    continue
+                images = tuple(reflect(rd, j, v) for v in inv_images)
+                if not all(v in positive for v in images):
+                    continue  # w s_j = s_k w for some k in K
+                nw = WeylElement(mat, w.word + (j,), w.length + 1)
+                seen[mat] = nw
+                new_frontier.append((nw, images))
+                if len(seen) > cap:
+                    raise CapExceeded(
+                        f"coset enumeration exceeded cap {cap}", partial_count=len(seen)
+                    )
+        frontier = new_frontier
+    return tuple(sorted(seen.values(), key=WeylElement.key))
+
+
+def _positive_root_set(rd: RootDatum):
+    """The positive roots as a set: a Weyl image of a root is a root, so
+    membership alone decides its sign."""
+    if "positive_set" not in rd._cache:
+        rd._cache["positive_set"] = frozenset(rd.positive_roots())
+    return rd._cache["positive_set"]

@@ -61,7 +61,9 @@ class ZipContext:
         return tuple(sorted(out))
 
     def fixed_levi_weyl(self):
-        """W_{L_0}(F_q): elements of W_{I0} commuting with sigma."""
+        """W_{L_0}(F_q) by brute force: all of W_{I0}, kept where it commutes
+        with sigma.  The cones never call this; it is the oracle that
+        `norm_matrix` is checked against."""
         if "wfix" not in self._cache:
             els = weyl.enumerate_parabolic(self.rd, self.I0)
             self._cache["wfix"] = tuple(weyl.sigma_fixed(els, self.frob))
@@ -262,6 +264,53 @@ def k_alpha(ctx: ZipContext, lam, alpha_index: int):
 # -- highest and lowest weight cones --------------------------------------
 
 
+def coset_chain(ctx: ZipContext):
+    """W_{L0}(F_q) as a product of small coset sets, one list per step.
+
+    Along a chain {} = J_0 < J_1 < ... < J_m = I0 of sigma-stable sets, each
+    one sigma-orbit larger than the last, step t lists the sigma-fixed
+    minimal representatives of W_{J_{t-1}} \\ W_{J_t}.  Each w in W_{J_t} is
+    uniquely u v with u in W_{J_{t-1}}, v such a representative and
+    l(w) = l(u) + l(v); conjugation by sigma preserves both sets, so a
+    sigma-fixed w has sigma-fixed factors.  Hence every w in W_{L0}(F_q) is
+    uniquely v_1 v_2 ... v_m with v_t from step t, and l(w) is the sum of
+    the l(v_t).  The next orbit is one that touches those already taken,
+    when any does: growing one component at a time keeps each step as small
+    as the diagram allows.  The cap bounds each step before the sigma filter.
+    """
+    cap = weyl.enum_cap()  # read even when I0 is empty: a bad value is an error
+    cartan = ctx.rd.cartan()
+    left = [o for o in perm_orbits(ctx.frob.sigma_perm) if o[0] in ctx.I0]
+    J = ()
+    steps = []
+    while left:
+        orbit = next((o for o in left if any(cartan[i][j] for i in o for j in J)), left[0])
+        left.remove(orbit)
+        ambient = tuple(sorted(J + orbit))
+        reps = weyl.min_coset_reps(ctx.rd, J, ambient=ambient, cap=cap)
+        steps.append([v for v in reps if weyl.commutes(ctx.frob, v)])
+        J = ambient
+    return steps
+
+
+def norm_matrix(ctx: ZipContext):
+    """N = sum_{w in W_{L0}(F_q)} q^{l(w)} w^T = R_m ... R_1, where R_t sums
+    q^{l(v)} v^T over step t of the coset chain; cached on the context."""
+    if "norm" not in ctx._cache:
+        n = ctx.n
+        total = linalg.mat_identity(n)
+        for step in coset_chain(ctx):
+            r = [[0] * n for _ in range(n)]
+            for v in step:
+                c = ctx.q ** v.length
+                for i in range(n):
+                    for j in range(n):
+                        r[i][j] += c * v.matrix[j][i]
+            total = linalg.mat_mul(r, total)
+        ctx._cache["norm"] = total
+    return ctx._cache["norm"]
+
+
 def _norm_covector(ctx: ZipContext, alpha_index: int, pre_matrix=None):
     """Covector of sum_{w in W_{L0}(F_q)} sum_{i<r_a} q^{i+l(w)} <w M lam, sigma^i a^vee>
     (as a <= 0 constraint; the caller flips the sign)."""
@@ -274,12 +323,7 @@ def _norm_covector(ctx: ZipContext, alpha_index: int, pre_matrix=None):
         orbit_part = linalg.vec_add(orbit_part, linalg.vec_scale(qpow, cur))
         cur = linalg.mat_vec(costar, cur)
         qpow *= ctx.q
-    total = tuple(0 for _ in range(ctx.n))
-    for w in ctx.fixed_levi_weyl():
-        wt = linalg.transpose(w.matrix)
-        total = linalg.vec_add(
-            total, linalg.vec_scale(ctx.q ** w.length, linalg.mat_vec(wt, orbit_part))
-        )
+    total = linalg.mat_vec(norm_matrix(ctx), orbit_part)
     if pre_matrix is not None:
         total = linalg.mat_vec(linalg.transpose(pre_matrix), total)
     return total

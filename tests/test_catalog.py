@@ -86,7 +86,9 @@ def test_reproduce_u21(q):
     assert rep["passed"], rep
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (6, 2), (6, 3), (7, 2), (7, 3)]
+)
 def test_reproduce_so_odd(n, q):
     rep = catalog.reproduce("SOodd", n=n, q=q)
     assert rep["passed"], rep

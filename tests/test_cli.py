@@ -121,7 +121,20 @@ def test_reproduce_exit_codes(capsys):
     assert json.loads(err)["error"] == "UnknownPreset"
 
 
-@pytest.mark.parametrize("kind", ["absent", "missing-keys", "not-json", "directory"])
+# zipcontext.v1 files that int() coercion used to accept: each edit makes
+# the U21 context invalid without changing what int() would read from it
+SCHEMA_EDITS = {
+    "float-q": lambda d: d["frobenius"].update(q=2.9),
+    "float-levi": lambda d: d.update(levi_indices=[0.7]),
+    "bool-levi": lambda d: d.update(levi_indices=[True]),
+    "string-levi": lambda d: d.update(levi_indices="0"),
+    "rank-mismatch": lambda d: d["rootdatum"].update(rank=4),
+}
+
+
+@pytest.mark.parametrize(
+    "kind", ["absent", "missing-keys", "not-json", "directory", *SCHEMA_EDITS]
+)
 def test_missing_context_file(capsys, tmp_path, u21_path, kind):
     path = tmp_path / "ctx.json"
     if kind == "absent":
@@ -132,6 +145,10 @@ def test_missing_context_file(capsys, tmp_path, u21_path, kind):
         path.write_text(json.dumps(data))
     elif kind == "not-json":
         path.write_text("{not json")
+    elif kind in SCHEMA_EDITS:
+        data = json.loads(Path(u21_path).read_text())
+        SCHEMA_EDITS[kind](data)
+        path.write_text(json.dumps(data))
     else:
         path = tmp_path
     code, _, err = run(capsys, "--format", "json", "hasse", "--context", str(path))

@@ -157,6 +157,45 @@ def test_min_coset_reps_b3_centralizer_count():
     assert len(reps) == 4
 
 
+def _filtered_ambient(rd, indices, ambient):
+    """Oracle: enumerate all of W_ambient and keep the w with w^{-1}(alpha_k)
+    positive for every k in K."""
+    out = []
+    for w in weyl.enumerate_parabolic(rd, ambient):
+        inv = linalg.mat_inverse(w.matrix)
+        if all(
+            rd.is_positive_root_vector(linalg.mat_vec(inv, rd.simple_roots[k]))
+            for k in indices
+        ):
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize(
+    "label,K,ambient",
+    [
+        ("A2", (0, 1), (0, 1)),
+        ("A2", (), (0, 1)),
+        ("B3", (2,), (1, 2)),
+        ("B2", (0,), (0, 1)),
+        ("B3", (1, 2), (0, 1, 2)),
+        ("A3", (0, 2), (0, 1, 2)),
+    ],
+)
+def test_min_coset_reps_equals_filtered_ambient_enumeration(label, K, ambient):
+    rd = build_root_datum(label)
+    assert weyl.min_coset_reps(rd, K, ambient=ambient) == _filtered_ambient(rd, K, ambient)
+
+
+def test_min_coset_reps_cap_holds_for_cached_results():
+    from zipcone.errors import CapExceeded
+
+    rd = build_root_datum("B3")
+    assert len(weyl.min_coset_reps(rd, (1, 2))) == 6  # 48 / 8
+    with pytest.raises(CapExceeded):
+        weyl.min_coset_reps(rd, (1, 2), cap=5)
+
+
 @pytest.mark.parametrize("label,K,Kp", [("B2", (0, 1), (0,)), ("B3", (0, 1, 2), (1, 2)), ("A3", (0, 1, 2), (0, 2))])
 def test_coset_factorization_is_unique_and_length_additive(label, K, Kp):
     rd = build_root_datum(label)

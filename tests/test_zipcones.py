@@ -1,13 +1,21 @@
 """Zip-context derived data and the weight cones of the worked examples."""
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zipcone import catalog, linalg, weyl, zipcones
+from zipcone import catalog, hasse, linalg, weyl, zipcones
 from zipcone.cones import RationalCone, cone_from_generators, cone_from_inequalities
-from zipcone.errors import InvalidR
-from zipcone.rootdata import build_root_datum, split_frobenius, validate_frobenius
+from zipcone.errors import CapExceeded, InvalidR
+from zipcone.rootdata import (
+    build_root_datum,
+    datum_from_cartan,
+    split_frobenius,
+    validate_frobenius,
+)
 
 U21_SIGMA = ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
 
@@ -329,3 +337,83 @@ def test_levi_regular_flag(u21):
     assert zipcones.is_levi_regular(u21, (-1, -1, 0))
     assert not zipcones.is_levi_regular(u21, (0, 0, 0))  # not strict
     assert not zipcones.is_levi_regular(u21, (1, 0, 0))  # not on X*(L)
+
+
+# -- the coset chain behind the norm covectors ------------------------------
+
+
+def brute_norm_matrix(ctx):
+    """Oracle: sum of q^l(w) w^T over the enumerated W_{L0}(F_q)."""
+    n = ctx.n
+    total = [[0] * n for _ in range(n)]
+    for w in ctx.fixed_levi_weyl():
+        for i in range(n):
+            for j in range(n):
+                total[i][j] += ctx.q ** w.length * w.matrix[j][i]
+    return tuple(tuple(row) for row in total)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_norm_matrix_matches_enumeration_on_catalog(q):
+    for name, ctx in catalog.standard_catalog(q):
+        for c in (ctx, zipcones.split_context(ctx)):
+            assert zipcones.norm_matrix(c) == brute_norm_matrix(c), name
+
+
+@st.composite
+def twisted_contexts(draw):
+    letter, rank = draw(st.sampled_from([t for t in hasse.CONNECTED_TYPES if t[1] <= 5]))
+    cartan = hasse.cartan_matrix(letter, rank)
+    rd = datum_from_cartan(cartan, f"{letter}{rank}")
+    perm = draw(st.sampled_from(hasse.diagram_automorphisms(cartan)))
+    # on the coroot basis of the simply-connected realization, the diagram
+    # automorphism e_i -> e_perm[i] sends alpha_i to alpha_perm[i]
+    sigma = tuple(tuple(int(i == perm[j]) for j in range(rank)) for i in range(rank))
+    q = draw(st.sampled_from([2, 3, 5]))
+    levi = draw(st.sets(st.integers(0, rank - 1)))
+    return zipcones.make_context(rd, validate_frobenius(rd, q, sigma), levi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(twisted_contexts())
+def test_norm_matrix_matches_enumeration_on_drawn_contexts(ctx):
+    assert zipcones.norm_matrix(ctx) == brute_norm_matrix(ctx)
+
+
+# degrees of the basic invariants: |W| = prod d_i and
+# sum_w q^l(w) = prod (q^d_i - 1) / (q - 1)
+DEGREES = {
+    **{f"A{n}": tuple(range(2, n + 2)) for n in range(1, 9)},
+    **{f"B{n}": tuple(range(2, 2 * n + 1, 2)) for n in range(2, 9)},
+    **{f"C{n}": tuple(range(2, 2 * n + 1, 2)) for n in range(2, 9)},
+    **{f"D{n}": tuple(range(2, 2 * n - 1, 2)) + (n,) for n in range(4, 9)},
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+    "F4": (2, 6, 8, 12),
+    "G2": (2, 6),
+}
+
+
+@pytest.mark.parametrize("label", sorted(DEGREES))
+def test_coset_chain_poincare_sum_matches_degrees(label):
+    rd = build_root_datum(label)
+    ctx = zipcones.make_context(rd, split_frobenius(rd, 2), range(rd.r))
+    steps = zipcones.coset_chain(ctx)
+    assert len(steps) == rd.r
+    for q in (1, 2, 3):
+        chain = math.prod(sum(q ** v.length for v in step) for step in steps)
+        degrees = math.prod(sum(q ** k for k in range(d)) for d in DEGREES[label])
+        assert chain == degrees, q
+
+
+def test_split_e7_report_never_enumerates_the_e6_levi(monkeypatch):
+    # |W(E6)| = 51,840; the largest coset step, ^{D5} W_{E6}, has 27 elements
+    monkeypatch.setenv("ZIPCONE_ENUM_CAP", "1000")
+    rd = build_root_datum("E7")
+    ctx = zipcones.make_context(rd, split_frobenius(rd, 2), range(6))
+    rep = zipcones.zip_report(ctx)
+    assert ["hw", "idominant"] in rep["inclusions"]
+    assert ["neglevi", "hw"] in rep["inclusions"]
+    with pytest.raises(CapExceeded):
+        ctx.fixed_levi_weyl()
