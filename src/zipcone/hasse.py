@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import weyl
-from .errors import InvalidCartan, RankTooLarge
+from .errors import BadParams, InvalidCartan, RankTooLarge
 from .rootdata import datum_from_cartan, exceptional_cartan, perm_orbits
 from .zipcones import ZipContext
 
@@ -77,6 +77,8 @@ CONNECTED_TYPES = (
 def connected_diagrams(max_rank: int):
     if max_rank > 8:
         raise RankTooLarge("max_rank must be <= 8")
+    if max_rank < 1:
+        raise BadParams(f"max_rank must be >= 1, not {max_rank}")
     out = []
     for letter, n in CONNECTED_TYPES:
         if n <= max_rank:
@@ -268,14 +270,22 @@ class DynkinTriple:
         )
 
 
-def opposition_condition(t: DynkinTriple) -> bool:
-    """Literal condition: sigma acts on I exactly as -w_{0,I} does."""
+def opposition_condition(t: DynkinTriple, memo: dict | None = None) -> bool:
+    """Literal condition: sigma acts on I exactly as -w_{0,I} does.
+
+    `memo` maps an induced sub-Cartan to its opposition involution and is
+    filled as it goes; `classify` shares one dict across the triples of a
+    call.  Without it the involutions are computed afresh.  The answer
+    never depends on it.
+    """
+    if memo is None:
+        memo = {}
     opposition = {}
     for comp in t.i_components():
         sub, vs = _induced(t.cartan, comp)
-        rd = datum_from_cartan(sub)
-        tau = weyl.opposition_involution(rd, range(len(vs)))
-        for local_i, local_j in tau.items():
+        if sub not in memo:
+            memo[sub] = weyl.opposition_involution(datum_from_cartan(sub), range(len(vs)))
+        for local_i, local_j in memo[sub].items():
             opposition[vs[local_i]] = vs[local_j]
     return all(t.sigma[v] == opposition[v] for v in t.I)
 
@@ -406,11 +416,10 @@ def classify(
     I-vertices sigma fixes.  `require_no_isolated` additionally demands
     I = I^(>=2); `maximal_only` keeps the triples passing `is_maximal`.
     """
-    if max_rank > 8:
-        raise RankTooLarge("max_rank must be <= 8")
     diagrams = connected_diagrams(max_rank)
     if not connected_only:
         diagrams = diagrams + _disconnected_diagrams(max_rank)
+    memo = {}
     out = []
     for label, _, cart in diagrams:
         for sigma in diagram_automorphisms(cart):
@@ -418,7 +427,7 @@ def classify(
                 t = DynkinTriple(label, cart, subset, sigma)
                 if require_no_isolated and t.isolated_i_vertices():
                     continue
-                if not opposition_condition(t):
+                if not opposition_condition(t, memo):
                     continue
                 if maximal_only and not is_maximal(t):
                     continue

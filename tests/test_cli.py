@@ -103,6 +103,28 @@ def test_classify_compare_expected_small(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("compare", [False, True], ids=["list", "compare-expected"])
+@pytest.mark.parametrize("max_rank", ["0", "-3"])
+def test_classify_rank_below_one_is_user_error(capsys, max_rank, compare):
+    argv = ["--format", "json", "classify", f"--max-rank={max_rank}"]
+    if compare:
+        argv.append("--compare-expected")
+    code, out, err = run(capsys, *argv)
+    assert_json_user_error(code, err)
+    assert json.loads(err)["error"] == "BadParams"
+    assert out == ""
+
+
+def test_classify_rank_one(capsys):
+    code, out, _ = run(capsys, "--format", "json", "classify", "--max-rank", "1")
+    assert code == 0
+    assert [(e["diagram_type"], e["I_desc"]) for e in json.loads(out)["classification"]] == [
+        ("A1", []), ("A1", [1]),
+    ]
+    code, out, _ = run(capsys, "--format", "json", "classify", "--max-rank", "1", "--compare-expected")
+    assert code == 0 and json.loads(out)["match"] is True
+
+
 def test_classify_hodge_filter(capsys):
     code, out, _ = run(capsys, "--format", "json", "classify", "--max-rank", "4", "--maximal", "--hodge")
     assert code == 0

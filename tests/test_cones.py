@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zipcone import fm, linalg
 from zipcone.cones import (
@@ -164,3 +166,40 @@ def test_canonical_form_independent_of_route():
     assert c1.to_json() == c2.to_json()
     c3 = cone_from_inequalities(3, c1.inequalities).complete()
     assert c3.to_json() == c1.to_json()
+
+
+# -- double-description properties on drawn generator sets --------------------
+
+
+@st.composite
+def generator_sets(draw):
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    return dim, draw(st.lists(vec, max_size=7))
+
+
+def satisfies(gens, ineqs):
+    return all(linalg.dot(g, h) >= 0 for g in gens for h in ineqs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets())
+def test_complete_is_a_fixed_point_reached_from_either_side(drawn):
+    dim, gens = drawn
+    c = cone_from_generators(dim, gens).complete()
+    canonical = c.to_json()
+    assert c.complete().to_json() == canonical
+    assert RationalCone.from_json(canonical).complete().to_json() == canonical
+    assert cone_from_generators(dim, c.generators).complete().to_json() == canonical
+    assert cone_from_inequalities(dim, c.inequalities).complete().to_json() == canonical
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets())
+def test_computed_sides_bracket_the_given_generators(drawn):
+    dim, gens = drawn
+    c = cone_from_generators(dim, gens).complete()
+    # cone(gens) lies inside the computed H-cone, and the computed V-cone
+    # inside the H-cone that Fourier-Motzkin finds for cone(gens)
+    assert satisfies(gens, c.inequalities)
+    assert satisfies(c.generators, fm.h_from_v(dim, gens))

@@ -208,3 +208,56 @@ def test_disconnected_sigma_trivial_componentwise():
     assert hasse.opposition_condition(good)
     half = hasse.DynkinTriple("B2+B2", cart, (0, 1), ident)
     assert hasse.opposition_condition(half)
+
+
+# -- the per-call opposition memo ---------------------------------------------
+
+
+def candidate_triples(max_rank, connected_only):
+    """Every (diagram, sigma, sigma-stable I) that `classify` tests."""
+    diagrams = hasse.connected_diagrams(max_rank)
+    if not connected_only:
+        diagrams = diagrams + hasse._disconnected_diagrams(max_rank)
+    for label, _, cart in diagrams:
+        for sigma in hasse.diagram_automorphisms(cart):
+            for subset in hasse._sigma_stable_subsets(sigma):
+                yield hasse.DynkinTriple(label, cart, subset, sigma)
+
+
+def test_memoized_condition_matches_fresh_computation():
+    memo = {}
+    checked = 0
+    for t in candidate_triples(5, connected_only=False):
+        assert hasse.opposition_condition(t, memo) == hasse.opposition_condition(t), t.descriptor()
+        checked += 1
+    assert checked > 1000 and memo
+
+
+def induced_sub_cartans(max_rank):
+    return {
+        hasse._induced(t.cartan, comp)[0]
+        for t in candidate_triples(max_rank, connected_only=True)
+        for comp in t.i_components()
+    }
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda: hasse.classify(4), id="classify"),
+        pytest.param(lambda: hasse.compare_with_expected(4), id="compare_with_expected"),
+    ],
+)
+def test_one_root_datum_per_induced_sub_cartan(monkeypatch, run):
+    calls = []
+    real = hasse.datum_from_cartan
+
+    def counting(cartan, *args, **kwargs):
+        calls.append(cartan)
+        return real(cartan, *args, **kwargs)
+
+    monkeypatch.setattr(hasse, "datum_from_cartan", counting)
+    run()
+    assert len(calls) == len(set(calls))
+    assert set(calls) == induced_sub_cartans(4)
+
