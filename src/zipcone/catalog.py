@@ -7,7 +7,7 @@ redundant rows in either description are harmless.
 from __future__ import annotations
 
 from . import linalg, zipcones
-from .cones import cone_from_generators, cone_from_inequalities
+from .cones import check_dim, cone_from_generators, cone_from_inequalities
 from .errors import BadParams, UnknownPreset
 from .rootdata import build_root_datum, split_frobenius, validate_frobenius
 from .zipcones import ZipContext, make_context
@@ -271,6 +271,7 @@ def reproduce(name: str, **params) -> dict:
         n, q = params.get("n"), params.get("q")
         if n is None or q is None:
             raise BadParams("SOodd reproduction needs n and q")
+        check_dim(n)  # the lattice rank of B_n, checked before the datum is built
         ctx, _ = preset_with_meta(name, n=n, q=q)
         expected = _so_odd_expected(n, q)
         computed, flags = _computed_cones(ctx)

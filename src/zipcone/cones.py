@@ -16,6 +16,12 @@ from .errors import DimensionMismatch, DimensionTooLarge, SingularMap
 DIM_CAP = 12
 
 
+def check_dim(dim: int) -> None:
+    """Refuse a cone dimension above DIM_CAP before any work starts."""
+    if dim > DIM_CAP:
+        raise DimensionTooLarge(f"dimension {dim} exceeds cap {DIM_CAP}")
+
+
 def _tight_set(vec, constraints):
     return frozenset(
         i for i, a in enumerate(constraints) if linalg.dot(a, vec) == 0
@@ -28,8 +34,7 @@ def dual_description(dim: int, ineqs):
     Incremental double description; returns (rays, lineality_basis) with
     rays reduced to canonical representatives modulo the lineality space.
     """
-    if dim > DIM_CAP:
-        raise DimensionTooLarge(f"dimension {dim} exceeds cap {DIM_CAP}")
+    check_dim(dim)
     lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     rays: list = []
     inserted: list = []

@@ -2,20 +2,29 @@
 
 A Dynkin triple is (diagram, I, sigma): a finite-type diagram (as a Cartan
 matrix), a sigma-stable vertex subset I and a diagram automorphism sigma.
-The ground truth for everything here is the literal opposition condition:
-sigma restricted to I equals the opposition involution alpha -> -w_{0,I}(alpha)
-computed component by component.  The expected tables shipped under data/
+It passes the opposition condition when sigma restricted to I equals the
+opposition involution alpha -> -w_{0,I}(alpha), component by component.
+
+The engine reads that involution off each component's type: it is the
+identity except on A_n (n >= 2), D_{2k+1} and E6, where it is the unique
+non-trivial diagram automorphism (Bourbaki, Lie groups, ch. VI, Plates).
+The literal -w_{0,I}, computed in a root datum by `weyl.opposition_involution`,
+is the test oracle.  Each fact is computed once, at the level where it
+varies: per diagram (validation, components and their types), per sigma
+(the automorphism check, the sigma-orbits of components, the cycle text),
+per vertex subset I of a diagram, and per induced connected sub-Cartan
+(its type and involution).  The triples of one `classify` call share them;
+no cache outlives those triples.  The expected tables shipped under data/
 are an independent transcription, never derived from this engine.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
-from . import weyl
-from .errors import BadParams, InvalidCartan, RankTooLarge
-from .rootdata import datum_from_cartan, exceptional_cartan, perm_orbits
+from .errors import BadParams, InternalError, InvalidCartan, RankTooLarge
+from .rootdata import exceptional_cartan, perm_orbits
 from .zipcones import ZipContext
 
 
@@ -111,155 +120,180 @@ def _induced(cartan, vertices):
 
 
 def component_type(cartan, vertices) -> str:
-    """Recognize the finite type of one connected induced sub-diagram."""
+    """The finite type of one connected induced sub-diagram: the type whose
+    standard Cartan matrix it matches vertex for vertex.  Anything that
+    matches none (a cycle, a triple edge in rank 3, a disconnected set) is
+    InvalidCartan."""
     sub, vs = _induced(cartan, vertices)
     r = len(vs)
-    if r == 1:
-        return "A1"
-    edges = [
-        (i, j)
-        for i in range(r)
-        for j in range(i + 1, r)
-        if sub[i][j] != 0
-    ]
-    degree = [sum(1 for i, j in edges if v in (i, j)) for v in range(r)]
-    multi = [(i, j, sub[i][j] * sub[j][i]) for i, j in edges if sub[i][j] * sub[j][i] > 1]
-    if any(m == 3 for *_, m in multi):
-        return "G2"
-    if multi:
-        i, j, _ = multi[0]
-        if r == 2:
-            return "B2"
-        if max(degree) > 2:
-            raise InvalidCartan("branch vertex with a multiple edge")
-        if degree[i] == 2 and degree[j] == 2:
-            return "F4" if r == 4 else _fail(sub)
-        t = i if degree[i] == 1 else j
-        other = j if t == i else i
-        # sub[t][other] = <alpha_other, alpha_t^vee> = -2 iff alpha_other long,
-        # i.e. the terminal vertex t is short: type B.
-        return f"B{r}" if sub[t][other] == -2 else f"C{r}"
-    if max(degree) == 3:
-        branch = degree.index(3)
-        arms = []
-        for start in [v for v in range(r) if sub[branch][v] != 0 and v != branch]:
-            ln, prev, cur = 1, branch, start
-            while True:
-                nxt = [w for w in range(r) if sub[cur][w] != 0 and w not in (prev, cur)]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                ln += 1
-            arms.append(ln)
-        arms.sort()
-        if arms[:2] == [1, 1]:
-            return f"D{r}"
-        if arms == [1, 2, r - 4] and r in (6, 7, 8):
-            return f"E{r}"
-        _fail(sub)
-    if max(degree) > 3:
-        _fail(sub)
-    return f"A{r}"
-
-
-def _fail(sub):
+    letters = "A" + "B" * (r >= 2) + "C" * (r >= 3) + "D" * (r >= 4)
+    letters += "E" * (r in (6, 7, 8)) + "F" * (r == 4) + "G" * (r == 2)
+    for letter in letters:
+        if next(_isomorphisms(sub, cartan_matrix(letter, r)), None) is not None:
+            return f"{letter}{r}"
     raise InvalidCartan(f"not a finite-type diagram: {sub}")
 
 
 def diagram_automorphisms(cartan):
     """All vertex permutations preserving the Cartan matrix (backtracking)."""
-    r = len(cartan)
-    sig = [
-        tuple(
-            sorted(
-                (cartan[i][j], cartan[j][i])
-                for j in range(r)
-                if j != i and cartan[i][j] != 0
-            )
+    return sorted(_isomorphisms(cartan, cartan))
+
+
+def _isomorphisms(a, b):
+    """Vertex bijections p with b[p(i)][p(j)] = a[i][j], found by
+    backtracking over the vertices of a; a and b have the same size."""
+    r = len(a)
+
+    def signature(c, i):
+        return c[i][i], sorted(
+            (c[i][j], c[j][i]) for j in range(r) if j != i and c[i][j] != 0
         )
-        for i in range(r)
-    ]
-    perms = []
+
+    sig_a = [signature(a, i) for i in range(r)]
+    sig_b = [signature(b, i) for i in range(r)]
     assignment = [None] * r
     used = [False] * r
 
     def extend(i):
         if i == r:
-            perms.append(tuple(assignment))
+            yield tuple(assignment)
             return
         for cand in range(r):
-            if used[cand] or sig[cand] != sig[i]:
+            if used[cand] or sig_b[cand] != sig_a[i]:
                 continue
             if any(
-                cartan[i][j] != cartan[cand][assignment[j]]
-                or cartan[j][i] != cartan[assignment[j]][cand]
+                a[i][j] != b[cand][assignment[j]] or a[j][i] != b[assignment[j]][cand]
                 for j in range(i)
             ):
                 continue
             assignment[i] = cand
             used[cand] = True
-            extend(i + 1)
+            yield from extend(i + 1)
             used[cand] = False
             assignment[i] = None
 
-    extend(0)
-    return sorted(perms)
+    return extend(0)
+
+
+def _connected_facts(sub):
+    """Type and opposition involution of a connected Cartan matrix.  -w_0 is
+    the identity except on A_n (n >= 2), D_{2k+1} and E6, whose diagrams
+    have exactly one non-trivial automorphism."""
+    r = len(sub)
+    tp = component_type(sub, range(r))
+    if (tp[0] == "A" and r >= 2) or (tp[0] == "D" and r % 2 == 1) or tp == "E6":
+        _, flip = diagram_automorphisms(sub)
+        return tp, flip
+    return tp, tuple(range(r))
+
+
+# -- per-call facts -----------------------------------------------------------
+
+
+class _Diagram:
+    """One Cartan matrix, validated and split into typed components once.
+
+    `subs` maps an induced connected sub-Cartan to its type and opposition
+    involution; `classify` shares one dict across all its diagrams."""
+
+    def __init__(self, cartan, subs: dict):
+        r = len(cartan)
+        if any(len(row) != r for row in cartan) or any(
+            (cartan[i][j] == 0) != (cartan[j][i] == 0) for i in range(r) for j in range(i)
+        ):
+            raise InvalidCartan(f"not a square matrix with a symmetric zero pattern: {cartan}")
+        self.cartan = cartan
+        self.subs = subs
+        self.components = _components(cartan)
+        self.types = tuple(self.connected(comp)[1] for comp in self.components)
+        self.component_of = {v: k for k, comp in enumerate(self.components) for v in comp}
+
+    def connected(self, vertices):
+        """(sorted vertices, type, opposition involution on local indices) of
+        a connected vertex set."""
+        sub, vs = _induced(self.cartan, vertices)
+        if sub not in self.subs:
+            self.subs[sub] = _connected_facts(sub)
+        return (vs, *self.subs[sub])
+
+
+class _Levi:
+    """The facts of a vertex subset I of one diagram; none depends on sigma."""
+
+    __slots__ = ("components", "types", "type_desc", "opposition", "isolated", "maximal")
+
+    def __init__(self, diagram: _Diagram, I):
+        self.components = _components(diagram.cartan, I)
+        types, opposition = [], []
+        for comp in self.components:
+            vs, tp, tau = diagram.connected(comp)
+            types.append(tp)
+            opposition.extend((vs[i], vs[j]) for i, j in enumerate(tau))
+        self.types = tuple(types)
+        self.type_desc = "+".join(sorted(types)) or "empty"
+        self.opposition = tuple(opposition)  # (v, -w_{0,I}(v)) for v in I
+        self.isolated = tuple(comp[0] for comp in self.components if len(comp) == 1)
+        # maximal: each component of the diagram misses at most one vertex of I
+        missing = [k for v, k in diagram.component_of.items() if v not in I]
+        self.maximal = len(missing) == len(set(missing))
+
+    def opposed_by(self, sigma) -> bool:
+        return all(sigma[v] == w for v, w in self.opposition)
+
+
+class _Sigma:
+    """A diagram automorphism sigma, checked once, with the sigma-orbits of
+    the diagram's components (as component indices) and its cycle text."""
+
+    def __init__(self, diagram: _Diagram, sigma):
+        c, r = diagram.cartan, len(diagram.cartan)
+        if sorted(sigma) != list(range(r)):
+            raise InvalidCartan("sigma is not a permutation")
+        if any(c[sigma[i]][sigma[j]] != c[i][j] for i in range(r) for j in range(r)):
+            raise InvalidCartan("sigma is not a diagram automorphism")
+        self.diagram = diagram
+        comp_perm = [diagram.component_of[sigma[comp[0]]] for comp in diagram.components]
+        self.component_orbits = perm_orbits(comp_perm)
+        cycles = [cy for cy in perm_orbits(sigma) if len(cy) > 1]
+        self.desc = "".join("(" + " ".join(str(v + 1) for v in cy) + ")" for cy in cycles) or "()"
 
 
 # -- triples ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DynkinTriple:
     label: str  # ambient type, e.g. "D4" or "A1+A1"
     cartan: tuple
     I: tuple  # sorted vertex indices (0-based)
     sigma: tuple  # vertex permutation
+    # the facts of the diagram and sigma, shared by the triples of one
+    # classification, and those of I; when left out they are computed here,
+    # which validates the diagram and sigma
+    facts: _Sigma | None = field(default=None, repr=False, compare=False)
+    levi: _Levi | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        r = len(self.cartan)
-        if sorted(self.sigma) != list(range(r)):
-            raise InvalidCartan("sigma is not a permutation")
-        for i in range(r):
-            for j in range(r):
-                if self.cartan[self.sigma[i]][self.sigma[j]] != self.cartan[i][j]:
-                    raise InvalidCartan("sigma is not a diagram automorphism")
+        if self.facts is None:
+            object.__setattr__(self, "facts", _Sigma(_Diagram(self.cartan, {}), self.sigma))
         if {self.sigma[i] for i in self.I} != set(self.I):
             raise InvalidCartan("I is not sigma-stable")
-        for comp in _components(self.cartan):
-            component_type(self.cartan, comp)
+        if self.levi is None:
+            object.__setattr__(self, "levi", _Levi(self.facts.diagram, self.I))
 
     @property
     def rank(self) -> int:
         return len(self.cartan)
 
-    def i_components(self):
-        return _components(self.cartan, self.I)
-
-    def i_geq2(self):
-        """Vertices of I lying in components with at least two vertices."""
-        out = []
-        for comp in self.i_components():
-            if len(comp) >= 2:
-                out.extend(comp)
-        return tuple(sorted(out))
-
     def isolated_i_vertices(self):
-        return tuple(
-            comp[0] for comp in self.i_components() if len(comp) == 1
-        )
+        return self.levi.isolated
 
     def i_type_desc(self) -> str:
-        comps = self.i_components()
-        if not comps:
-            return "empty"
-        return "+".join(sorted(component_type(self.cartan, c) for c in comps))
+        return self.levi.type_desc
 
     def sigma_desc(self) -> str:
         """Cycle notation on 1-based vertices; '()' for the identity."""
-        cycles = [c for c in perm_orbits(self.sigma) if len(c) > 1]
-        text = "".join("(" + " ".join(str(v + 1) for v in c) + ")" for c in cycles)
-        return text or "()"
+        return self.facts.desc
 
     def descriptor(self):
         return (
@@ -270,49 +304,25 @@ class DynkinTriple:
         )
 
 
-def opposition_condition(t: DynkinTriple, memo: dict | None = None) -> bool:
-    """Literal condition: sigma acts on I exactly as -w_{0,I} does.
-
-    `memo` maps an induced sub-Cartan to its opposition involution and is
-    filled as it goes; `classify` shares one dict across the triples of a
-    call.  Without it the involutions are computed afresh.  The answer
-    never depends on it.
-    """
-    if memo is None:
-        memo = {}
-    opposition = {}
-    for comp in t.i_components():
-        sub, vs = _induced(t.cartan, comp)
-        if sub not in memo:
-            memo[sub] = weyl.opposition_involution(datum_from_cartan(sub), range(len(vs)))
-        for local_i, local_j in memo[sub].items():
-            opposition[vs[local_i]] = vs[local_j]
-    return all(t.sigma[v] == opposition[v] for v in t.I)
+def opposition_condition(t: DynkinTriple) -> bool:
+    """sigma acts on I exactly as -w_{0,I} does, with -w_{0,I} read off the
+    types of the I-components."""
+    return t.levi.opposed_by(t.sigma)
 
 
 def is_maximal(t: DynkinTriple) -> bool:
     """Component-wise: |D_i ∩ I| is |D_i| or |D_i| - 1."""
-    for comp in _components(t.cartan):
-        k = len(set(comp) & set(t.I))
-        if k not in (len(comp), len(comp) - 1):
-            return False
-    return True
-
-
-def _sigma_component_orbits(t: DynkinTriple):
-    comps = _components(t.cartan)
-    find = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    comp_perm = [find[t.sigma[comp[0]]] for comp in comps]
-    return [[comps[k] for k in orbit] for orbit in perm_orbits(comp_perm)]
+    return t.levi.maximal
 
 
 def hodge_filter(t: DynkinTriple) -> bool:
     """Literal allow-list: A1^m with I = empty (sigma one cycle), A2 with A1,
     B_n with B_{n-1}, D_{2m+1} (m >= 2) with D_{2m}."""
-    for orbit in _sigma_component_orbits(t):
-        verts = sorted(v for comp in orbit for v in comp)
-        iverts = sorted(set(verts) & set(t.I))
-        types = [component_type(t.cartan, comp) for comp in orbit]
+    d = t.facts.diagram
+    for orbit in t.facts.component_orbits:
+        comps = [d.components[k] for k in orbit]
+        types = [d.types[k] for k in orbit]
+        iverts = sorted(v for comp in comps for v in comp if v in t.I)
         if all(tp == "A1" for tp in types):
             if iverts:
                 return False
@@ -320,44 +330,38 @@ def hodge_filter(t: DynkinTriple) -> bool:
         if len(orbit) != 1:
             return False
         tp = types[0]
-        comp = orbit[0]
+        comp = comps[0]
         if tp == "A2":
             if len(iverts) != 1:
                 return False
             continue
         letter, n = tp[0], int(tp[1:])
         if letter == "B":
-            want = [v for v in comp if _terminal_long(t.cartan, comp, v)]
-            if len(iverts) != n - 1 or set(iverts) != set(comp) - set(want):
+            if iverts != sorted(set(comp) - {_long_end(d.cartan, comp)}):
                 return False
             continue
         if letter == "D" and n % 2 == 1 and n >= 5:
-            sub_i = set(iverts)
             if any(t.sigma[v] != v for v in comp):
                 return False
-            if len(sub_i) != n - 1:
-                return False
-            if component_type(t.cartan, sub_i) != f"D{n-1}":
+            levi = t.levi
+            inside = [ctp for c, ctp in zip(levi.components, levi.types) if c[0] in comp]
+            if inside != [f"D{n-1}"]:
                 return False
             continue
         return False
     return True
 
 
-def _terminal_long(cartan, comp, v) -> bool:
-    """Is v the long-root end of a type-B component (the vertex removed to
-    leave B_{n-1})?  In B_n this is the end away from the double edge."""
-    neighbors = [w for w in comp if w != v and cartan[v][w] != 0]
-    if len(neighbors) != 1:
-        return False
-    w = neighbors[0]
-    if cartan[v][w] * cartan[w][v] != 1:
-        if len(comp) == 2:
-            # B2: the long vertex is the one whose coroot pairs to -1
-            return cartan[v][w] == -1 and cartan[w][v] == -2
-        return False
-    sub = set(comp) - {v}
-    return component_type(cartan, sub) == f"B{len(comp) - 1}"
+def _long_end(cartan, comp):
+    """The long-root end of a type-B component, the vertex whose removal
+    leaves B_{n-1}: the end whose neighbour w has <alpha_w, alpha_v^vee> = -1.
+    At the other end that pairing is -2 (B_n, n >= 3: the double edge; B2:
+    the short root)."""
+    for v in comp:
+        neighbors = [w for w in comp if w != v and cartan[v][w] != 0]
+        if len(neighbors) == 1 and cartan[v][neighbors[0]] == -1:
+            return v
+    raise InternalError(f"no long end in the B component {comp}")
 
 
 # -- enumeration -------------------------------------------------------------
@@ -419,19 +423,24 @@ def classify(
     diagrams = connected_diagrams(max_rank)
     if not connected_only:
         diagrams = diagrams + _disconnected_diagrams(max_rank)
-    memo = {}
+    subs = {}
     out = []
     for label, _, cart in diagrams:
+        diagram = _Diagram(cart, subs)
+        levis = {}  # the facts of each subset, kept only by the triples that pass
         for sigma in diagram_automorphisms(cart):
+            facts = _Sigma(diagram, sigma)
             for subset in _sigma_stable_subsets(sigma):
-                t = DynkinTriple(label, cart, subset, sigma)
-                if require_no_isolated and t.isolated_i_vertices():
+                if subset not in levis:
+                    levis[subset] = _Levi(diagram, subset)
+                levi = levis[subset]
+                if require_no_isolated and levi.isolated:
                     continue
-                if not opposition_condition(t, memo):
+                if not levi.opposed_by(sigma):
                     continue
-                if maximal_only and not is_maximal(t):
+                if maximal_only and not levi.maximal:
                     continue
-                out.append(t)
+                out.append(DynkinTriple(label, cart, subset, sigma, facts, levi))
     return sorted(out, key=DynkinTriple.descriptor)
 
 

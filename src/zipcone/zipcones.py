@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 
 from . import linalg, weyl
-from .cones import RationalCone, cone_from_inequalities, equality_pair
+from .cones import RationalCone, check_dim, cone_from_inequalities, equality_pair
 from .errors import DimensionMismatch, InternalError, InvalidR
 from .rootdata import FrobeniusDatum, RootDatum, pair, perm_orbits, validate_frobenius
 from .weyl import WeylElement
@@ -430,6 +430,7 @@ CONE_BUILDERS = ("dominant", "idominant", "neglevi", "gs", "pha", "hw", "lw")
 
 
 def build_cone(ctx: ZipContext, which: str) -> RationalCone:
+    check_dim(ctx.n)
     if which == "dominant":
         return dominant_cone(ctx)
     if which == "idominant":
@@ -450,6 +451,7 @@ def build_cone(ctx: ZipContext, which: str) -> RationalCone:
 def zip_report(ctx: ZipContext) -> dict:
     """All computed cones, the inner/outer bounds on the zip cone, the
     Hasse-type flags and the inclusion matrix."""
+    check_dim(ctx.n)
     cones = {
         "idominant": i_dominant_cone(ctx).complete(),
         "neglevi": neg_levi_cone(ctx).complete(),

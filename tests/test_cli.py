@@ -1,15 +1,21 @@
 """CLI behaviour: exit codes, JSON round trips, determinism."""
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zipcone import catalog
-from zipcone.cli import context_json, main
+from zipcone import catalog, zipcones
+from zipcone.cli import CONE_NAMES, context_json, main
 from zipcone.cones import RationalCone
+from zipcone.errors import DimensionTooLarge
 
 
 @pytest.fixture
@@ -222,3 +228,111 @@ def test_stdout_independent_of_hash_seed(u21_path, argv):
         )
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# -- the cone cap is checked before the work starts -----------------------------
+
+
+@pytest.fixture(scope="module")
+def contexts(tmp_path_factory):
+    """Context files: small presets, a rank-13 context (above the cone cap),
+    a file missing a key and a path that does not exist."""
+    folder = tmp_path_factory.mktemp("contexts")
+    presets = {
+        "u21": catalog.preset("U21-inert", q=2),
+        "so5": catalog.preset("SOodd", n=2, q=3),
+        "hilbert": catalog.preset("HilbertA1m", m=2, q=2),
+        "so27": catalog.preset("SOodd", n=13, q=2),
+    }
+    paths = {}
+    for name, ctx in presets.items():
+        paths[name] = folder / f"{name}.json"
+        paths[name].write_text(json.dumps(context_json(ctx)))
+    paths["broken"] = folder / "broken.json"
+    paths["broken"].write_text(json.dumps({"rootdatum": {}}))
+    paths["absent"] = folder / "absent.json"
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("n", ["13", "40"])
+def test_reproduce_above_cone_cap_refused_at_once(capsys, n):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "--format", "json", "reproduce", "--example", "SOodd",
+                         "--n", n, "--q", "2")
+    assert time.perf_counter() - start < 5
+    assert code == 1 and not out
+    assert json.loads(err)["error"] == "DimensionTooLarge"
+
+
+def test_rank_13_context_describes_but_builds_no_cone(capsys, contexts):
+    for command in ("describe", "hasse"):
+        code, _, _ = run(capsys, "--format", "json", command, "--context", contexts["so27"])
+        assert code == 0, command
+    ctx = catalog.preset("SOodd", n=13, q=2)
+    with pytest.raises(DimensionTooLarge):
+        zipcones.zip_report(ctx)
+    with pytest.raises(DimensionTooLarge):
+        zipcones.build_cone(ctx, "dominant")
+
+
+# -- fuzzing the argument space --------------------------------------------------
+
+SIZES = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "4", "5", "13", "40", "x"])
+LAMBDAS = st.lists(st.integers(-3, 3), max_size=5).map(lambda v: ",".join(map(str, v))) | st.text(
+    alphabet="0123456789,- a.", max_size=8
+)
+
+
+@st.composite
+def cli_argv(draw, contexts):
+    """An argv over every subcommand, with sizes kept small enough that each
+    example runs in well under a second."""
+    argv = []
+    fmt = draw(st.sampled_from([None, "text", "json"]))
+    if fmt:
+        argv += ["--format", fmt]
+    command = draw(st.sampled_from(
+        ["describe", "cone", "member", "include", "hasse", "classify", "reproduce", "nope"]
+    ))
+    argv.append(command)
+    which = st.sampled_from(CONE_NAMES + ("nope",))
+    if command in ("describe", "cone", "member", "include", "hasse"):
+        argv += ["--context", draw(st.sampled_from(sorted(contexts.values())))]
+    if command in ("cone", "member"):
+        argv += ["--which", draw(which)]
+    if command == "member":
+        argv += ["--lambda", draw(LAMBDAS)]
+    if command == "include":
+        argv += ["--outer", draw(which), "--inner", draw(which)]
+    if command == "classify":
+        rank = draw(st.integers(-3, 9))
+        flags = ["--maximal", "--hodge", "--compare-expected"]
+        if rank <= 5:
+            flags.append("--disconnected")
+        argv += ["--max-rank", str(rank), *draw(st.lists(st.sampled_from(flags), unique=True))]
+    if command == "reproduce":
+        argv += ["--example", draw(st.sampled_from(
+            ["U21-inert", "SOodd", "GL3-split", "HilbertA1m", "nope"]
+        ))]
+        for option in ("--q", "--n", "--m"):
+            if draw(st.booleans()):
+                argv += [option, draw(SIZES)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_never_crashes(contexts, data):
+    argv = data.draw(cli_argv(contexts), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2, 3), argv
+    if argv[:2] == ["--format", "json"] and code in (1, 3):
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        assert json.loads(lines[0])["exit"] == code, argv

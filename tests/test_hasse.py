@@ -1,8 +1,11 @@
 """Dynkin-triple machinery: opposition condition, classification, filters."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zipcone import catalog, hasse, zipcones
+from zipcone import catalog, hasse, rootdata, weyl, zipcones
 from zipcone.errors import InvalidCartan, RankTooLarge
+from zipcone.rootdata import datum_from_cartan
 
 
 def triple(label, I, sigma=None):
@@ -28,6 +31,10 @@ def test_component_type_recognition():
     d5 = hasse.cartan_matrix("D", 5)
     assert hasse.component_type(d5, range(5)) == "D5"
     assert hasse.component_type(d5, [2, 3, 4]) == "A3"
+    # not of finite type: a cycle (affine A2) and a triple edge in rank 3
+    for bad in (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), ((2, -3, 0), (-1, 2, -1), (0, -1, 2))):
+        with pytest.raises(InvalidCartan):
+            hasse.component_type(bad, range(3))
 
 
 def test_diagram_automorphisms():
@@ -72,6 +79,8 @@ def test_triple_validation():
         triple("A3", [1, 2], sigma=(2, 1, 0))  # I not sigma-stable
     with pytest.raises(InvalidCartan):
         hasse.DynkinTriple("A2", hasse.cartan_matrix("A", 2), (), (1, 0, 2))
+    with pytest.raises(InvalidCartan):  # affine A2, a cycle
+        hasse.DynkinTriple("A2~", ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (), (0, 1, 2))
 
 
 def test_trivial_opposition_list_matches_lemma():
@@ -210,7 +219,42 @@ def test_disconnected_sigma_trivial_componentwise():
     assert hasse.opposition_condition(half)
 
 
-# -- the per-call opposition memo ---------------------------------------------
+# -- the type rule against the literal -w_{0,I} ---------------------------------
+
+
+def literal_involution(sub):
+    """-w_0 of a connected Cartan matrix, from its longest Weyl element."""
+    return weyl.opposition_involution(datum_from_cartan(sub), range(len(sub)))
+
+
+def literal_condition(t, oracle):
+    """The opposition condition with -w_{0,I} computed in a root datum;
+    `oracle` keeps each sub-Cartan's involution for the test's duration."""
+    opposition = {}
+    for comp in hasse._components(t.cartan, t.I):
+        sub, vs = hasse._induced(t.cartan, comp)
+        if sub not in oracle:
+            oracle[sub] = literal_involution(sub)
+        opposition.update((vs[i], vs[j]) for i, j in oracle[sub].items())
+    return all(t.sigma[v] == opposition[v] for v in t.I)
+
+
+def type_rule(sub):
+    return dict(enumerate(hasse._connected_facts(sub)[1]))
+
+
+@pytest.mark.parametrize("letter,rank", hasse.CONNECTED_TYPES, ids=lambda x: str(x))
+def test_type_rule_matches_literal_involution_on_connected_types(letter, rank):
+    sub = hasse.cartan_matrix(letter, rank)
+    assert type_rule(sub) == literal_involution(sub)
+
+
+def test_type_rule_matches_literal_involution_on_met_sub_diagrams():
+    triples = hasse.classify(5, connected_only=False)
+    met = triples[0].facts.diagram.subs
+    assert len(met) > 10
+    for sub in met:
+        assert type_rule(sub) == literal_involution(sub), sub
 
 
 def candidate_triples(max_rank, connected_only):
@@ -224,21 +268,67 @@ def candidate_triples(max_rank, connected_only):
                 yield hasse.DynkinTriple(label, cart, subset, sigma)
 
 
-def test_memoized_condition_matches_fresh_computation():
-    memo = {}
+def test_condition_matches_literal_oracle():
+    oracle = {}
     checked = 0
     for t in candidate_triples(5, connected_only=False):
-        assert hasse.opposition_condition(t, memo) == hasse.opposition_condition(t), t.descriptor()
+        assert hasse.opposition_condition(t) == literal_condition(t, oracle), t.descriptor()
         checked += 1
-    assert checked > 1000 and memo
+    assert checked > 1000
 
 
-def induced_sub_cartans(max_rank):
-    return {
-        hasse._induced(t.cartan, comp)[0]
-        for t in candidate_triples(max_rank, connected_only=True)
-        for comp in t.i_components()
-    }
+def test_shared_facts_entry_matches_fresh_triple():
+    triples = hasse.classify(5, connected_only=False)
+    assert len({id(t.facts.diagram.subs) for t in triples}) == 1
+    for t in triples:
+        fresh = hasse.DynkinTriple(t.label, t.cartan, t.I, t.sigma)
+        assert fresh.facts is not t.facts
+        assert hasse.classification_entry(t) == hasse.classification_entry(fresh)
+
+
+@st.composite
+def drawn_triples(draw):
+    """A block sum of connected types with shuffled vertices, sometimes with
+    one symmetric pair of entries changed (often no longer of finite type),
+    with sigma a diagram automorphism or any permutation, and I a union of
+    sigma-orbits or any subset."""
+    small = [t for t in hasse.CONNECTED_TYPES if t[1] <= 4] + [("E", 6)]
+    parts = draw(st.lists(st.sampled_from(small), min_size=1, max_size=3))
+    blocks = [hasse.cartan_matrix(letter, n) for letter, n in parts]
+    r = sum(len(b) for b in blocks)
+    block_sum = [[0] * r for _ in range(r)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            block_sum[off + i][off : off + len(b)] = row
+        off += len(b)
+    relabel = draw(st.permutations(range(r)))
+    cart = [[block_sum[relabel[i]][relabel[j]] for j in range(r)] for i in range(r)]
+    if r > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+        cart[i][j] = draw(st.integers(-3, 0))
+        cart[j][i] = draw(st.integers(-3, 0))
+    cart = tuple(tuple(row) for row in cart)
+    autos = hasse.diagram_automorphisms(cart)
+    sigma = draw(st.sampled_from(autos) | st.permutations(range(r)).map(tuple))
+    if draw(st.booleans()):
+        orbits = rootdata.perm_orbits(sigma)
+        chosen = draw(st.lists(st.sampled_from(orbits), unique=True))
+        I = tuple(sorted(v for orbit in chosen for v in orbit))
+    else:
+        I = tuple(sorted(draw(st.sets(st.integers(0, r - 1)))))
+    return cart, sigma, I
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_triples())
+def test_constructor_rejects_or_agrees_with_literal_oracle(drawn):
+    cart, sigma, I = drawn
+    try:
+        t = hasse.DynkinTriple("drawn", cart, I, sigma)
+    except InvalidCartan:
+        return
+    assert hasse.opposition_condition(t) == literal_condition(t, {})
 
 
 @pytest.mark.parametrize(
@@ -248,16 +338,11 @@ def induced_sub_cartans(max_rank):
         pytest.param(lambda: hasse.compare_with_expected(4), id="compare_with_expected"),
     ],
 )
-def test_one_root_datum_per_induced_sub_cartan(monkeypatch, run):
-    calls = []
-    real = hasse.datum_from_cartan
+def test_no_root_datum_built(monkeypatch, run):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("classification built a root datum or a Weyl element")
 
-    def counting(cartan, *args, **kwargs):
-        calls.append(cartan)
-        return real(cartan, *args, **kwargs)
-
-    monkeypatch.setattr(hasse, "datum_from_cartan", counting)
-    run()
-    assert len(calls) == len(set(calls))
-    assert set(calls) == induced_sub_cartans(4)
-
+    monkeypatch.setattr(rootdata, "_validate", forbidden)
+    monkeypatch.setattr(weyl, "longest_element", forbidden)
+    monkeypatch.setattr(weyl, "opposition_involution", forbidden)
+    assert run()
