@@ -106,14 +106,18 @@ _PRESETS = {
 }
 
 
+def _check_params(what: str, wanted, params) -> None:
+    missing = [k for k in wanted if params.get(k) is None]
+    extra = [k for k in params if k not in wanted]
+    if missing or extra:
+        raise BadParams(f"{what} takes {wanted}; missing {missing}, extra {extra}")
+
+
 def preset_with_meta(name: str, **params):
     if name not in _PRESETS:
         raise UnknownPreset(f"unknown preset {name!r}; know {sorted(_PRESETS)}")
     builder, wanted = _PRESETS[name]
-    missing = [k for k in wanted if k not in params]
-    extra = [k for k in params if k not in wanted]
-    if missing or extra:
-        raise BadParams(f"preset {name} takes {wanted}; missing {missing}, extra {extra}")
+    _check_params(f"preset {name}", wanted, params)
     if params.get("q", 2) < 2:
         raise BadParams("q must be >= 2")
     return builder(**params)
@@ -223,54 +227,55 @@ def _so_odd_expected(n: int, q: int):
     }
 
 
+_TABLE_CONES = ("idominant", "neglevi", "gs", "pha", "hw", "lw")
+
+
 def _computed_cones(ctx: ZipContext, quotient=None):
-    lw, certified = zipcones.lw_cone(ctx)
+    """The context's cached report cones under the table's names, pushed
+    along `quotient` when given, with the zip cone where the flags name it."""
+    certified = zipcones.certified_lw(ctx)
     hasse = zipcones.is_hasse_type(ctx)
-    cones = {
-        "idominant": zipcones.i_dominant_cone(ctx),
-        "neglevi": zipcones.neg_levi_cone(ctx),
-        "gs": zipcones.gs_cone(ctx),
-        "pha": zipcones.pha_cone(ctx),
-        "hw": zipcones.hw_cone(ctx),
-        "lw": lw,
-    }
+    cones = {name: zipcones.report_cone(ctx, name) for name in _TABLE_CONES}
+    if quotient is not None:
+        cones = {k: c.image_under(quotient) for k, c in cones.items()}
     zip_route = None
     if hasse:
         cones["zip"] = cones["pha"]
         zip_route = "pha (Hasse-type, exact)"
     elif certified:
-        cones["zip"] = lw
+        cones["zip"] = cones["lw"]
         zip_route = "lw (certified lower bound; equality per the unitary example)"
-    if quotient is not None:
-        cones = {k: c.image_under(quotient) for k, c in cones.items()}
     return cones, {"hasse_type": hasse, "certified_lw": certified, "zip_route": zip_route}
+
+
+_REPRODUCIBLE = ("U21-inert", "SOodd")
 
 
 def reproduce(name: str, **params) -> dict:
     """Compare computed cones against the reference table of a worked example.
 
     Returns a structured report; `passed` is the conjunction of all rows and
-    flag checks.  Raises UnknownPreset for presets without expected data.
+    flag checks.  Raises UnknownPreset for presets without expected data and
+    BadParams for a missing parameter or one the example does not take.
     """
+    if name not in _REPRODUCIBLE:
+        raise UnknownPreset(f"no reproduction data for preset {name!r}")
+    _check_params(f"{name} reproduction", _PRESETS[name][1], params)
     if name == "U21-inert":
-        q = params.get("q")
-        if q is None:
-            raise BadParams("U21-inert reproduction needs q")
+        q = params["q"]
         ctx, meta = preset_with_meta(name, q=q)
         expected = _u21_expected(q)
         computed, flags = _computed_cones(ctx, quotient=meta["quotient_map"])
+        lifted = [zipcones.report_cone(ctx, k) for k in _TABLE_CONES]
         flag_checks = {
             "hasse_type is False": flags["hasse_type"] is False,
             "lw certified": flags["certified_lw"] is True,
             "lineality direction (1,1,1) in every cone": all(
-                c.member((1, 1, 1)) and c.member((-1, -1, -1))
-                for c in _computed_cones(ctx)[0].values()
+                c.member((1, 1, 1)) and c.member((-1, -1, -1)) for c in lifted
             ),
         }
-    elif name == "SOodd":
-        n, q = params.get("n"), params.get("q")
-        if n is None or q is None:
-            raise BadParams("SOodd reproduction needs n and q")
+    else:
+        n, q = params["n"], params["q"]
         check_dim(n)  # the lattice rank of B_n, checked before the datum is built
         ctx, _ = preset_with_meta(name, n=n, q=q)
         expected = _so_odd_expected(n, q)
@@ -287,8 +292,6 @@ def reproduce(name: str, **params) -> dict:
             flag_checks["hw equals pha at n=2"] = computed["hw"].equal(computed["pha"])
         else:
             flag_checks[f"hw strictly inside pha at n={n}"] = strict
-    else:
-        raise UnknownPreset(f"no reproduction data for preset {name!r}")
 
     rows = []
     for cone_name in sorted(expected):

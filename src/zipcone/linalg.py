@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd
+from operator import mul
 
 from .errors import DimensionMismatch, SingularMap
 
@@ -18,7 +19,7 @@ def dot(x: Vec, y: Vec):
     """Exact inner product; the two bases are dual by construction."""
     if len(x) != len(y):
         raise DimensionMismatch(f"length {len(x)} vs {len(y)}")
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def vec_add(x: Vec, y: Vec) -> Vec:
@@ -44,8 +45,14 @@ def is_zero(x: Vec) -> bool:
 def primitive(x: Vec) -> Vec:
     """Scale by a positive rational so entries are coprime integers.
 
-    Does not flip sign: (2,-4) -> (1,-2), (-2,4) -> (-1,2).
+    Does not flip sign: (2,-4) -> (1,-2), (-2,4) -> (-1,2).  Integer input
+    is divided by its gcd directly; anything else goes through Fraction.
     """
+    if all(type(a) is int for a in x):
+        g = gcd(*x)
+        if g <= 1:  # 0: the zero vector; 1: already primitive
+            return tuple(x)
+        return tuple(a // g for a in x)
     fr = [Q(a) for a in x]
     den = 1
     for a in fr:

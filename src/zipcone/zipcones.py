@@ -119,8 +119,12 @@ def make_context(rd: RootDatum, frob: FrobeniusDatum, I) -> ZipContext:
 
 def split_context(ctx: ZipContext, r: int | None = None) -> ZipContext:
     """The context (same datum, Frobenius sigma^r with parameter q^r, Levi I0)
-    used by the Weil-restriction transport.  Default r is the split degree."""
+    used by the Weil-restriction transport.  Default r is the split degree.
+    For r = 1 and I0 = I that context equals ctx, and ctx itself is returned,
+    so the two share their cached cones and norm matrix."""
     r = ctx.split_degree if r is None else r
+    if r == 1 and ctx.I0 == ctx.I:
+        return ctx
     frob_r = validate_frobenius(ctx.rd, ctx.q ** r, linalg.mat_pow(ctx.frob.sigma, r))
     return make_context(ctx.rd, frob_r, ctx.I0)
 
@@ -396,7 +400,7 @@ def weil_transport(ctx: ZipContext, r: int, inner: RationalCone) -> RationalCone
         raise InvalidR(f"sigma^{r} does not fix I pointwise")
     mat = linalg.mat_mul(ctx.w0I.matrix, ctx.w0I0.matrix)
     moved = inner.image_under(mat)
-    return i_dominant_cone(ctx).intersect(moved)
+    return report_cone(ctx, "idominant").intersect(moved)
 
 
 # -- hasse-type test (lattice level) ---------------------------------------
@@ -427,10 +431,31 @@ def hasse_criteria(ctx: ZipContext) -> dict:
 
 
 CONE_BUILDERS = ("dominant", "idominant", "neglevi", "gs", "pha", "hw", "lw")
+REPORT_CONES = ("idominant", "neglevi", "gs", "pha", "hw", "lw", "weil_hw")
 
 
-def build_cone(ctx: ZipContext, which: str) -> RationalCone:
-    check_dim(ctx.n)
+def report_cone(ctx: ZipContext, which: str) -> RationalCone:
+    """The completed cone `which` (a name in CONE_BUILDERS or REPORT_CONES).
+
+    Each is built once per context and kept in ctx._cache, so `zip_report`,
+    `build_cone` and `catalog.reproduce` share one copy.  A completed cone is
+    never changed: every RationalCone method that makes another cone returns
+    a new object.
+    """
+    key = ("cone", which)
+    if key not in ctx._cache:
+        check_dim(ctx.n)
+        ctx._cache[key] = _build(ctx, which).complete()
+    return ctx._cache[key]
+
+
+def certified_lw(ctx: ZipContext) -> bool:
+    """The certification flag of `lw_cone`, kept with the cached lw cone."""
+    report_cone(ctx, "lw")
+    return ctx._cache["certified_lw"]
+
+
+def _build(ctx: ZipContext, which: str) -> RationalCone:
     if which == "dominant":
         return dominant_cone(ctx)
     if which == "idominant":
@@ -444,25 +469,26 @@ def build_cone(ctx: ZipContext, which: str) -> RationalCone:
     if which == "hw":
         return hw_cone(ctx)
     if which == "lw":
-        return lw_cone(ctx)[0]
+        cone, ctx._cache["certified_lw"] = lw_cone(ctx)
+        return cone
+    if which == "weil_hw":
+        hw = report_cone(split_context(ctx), "hw")
+        return weil_transport(ctx, ctx.split_degree, hw)
     raise DimensionMismatch(f"unknown cone name {which!r}")
+
+
+def build_cone(ctx: ZipContext, which: str) -> RationalCone:
+    """The completed cone `which`, a name in CONE_BUILDERS."""
+    if which not in CONE_BUILDERS:
+        raise DimensionMismatch(f"unknown cone name {which!r}")
+    return report_cone(ctx, which)
 
 
 def zip_report(ctx: ZipContext) -> dict:
     """All computed cones, the inner/outer bounds on the zip cone, the
     Hasse-type flags and the inclusion matrix."""
-    check_dim(ctx.n)
-    cones = {
-        "idominant": i_dominant_cone(ctx).complete(),
-        "neglevi": neg_levi_cone(ctx).complete(),
-        "gs": gs_cone(ctx).complete(),
-        "pha": pha_cone(ctx),
-        "hw": hw_cone(ctx).complete(),
-    }
-    lw, certified = lw_cone(ctx)
-    cones["lw"] = lw.complete()
-    sctx = split_context(ctx)
-    cones["weil_hw"] = weil_transport(ctx, ctx.split_degree, hw_cone(sctx)).complete()
+    cones = {name: report_cone(ctx, name) for name in REPORT_CONES}
+    certified = certified_lw(ctx)
     hasse = is_hasse_type(ctx)
     inner = ["pha", "hw", "gs", "neglevi", "weil_hw"]
     if certified:

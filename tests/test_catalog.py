@@ -1,6 +1,10 @@
+import json
+from collections import Counter
+
 import pytest
 
 from zipcone import catalog, linalg, zipcones
+from zipcone.cones import RationalCone
 from zipcone.errors import BadParams, UnknownPreset
 
 
@@ -104,6 +108,54 @@ def test_reproduce_so_odd_n2_hw_equals_pha():
 def test_reproduce_so_odd_n3_strict():
     rep = catalog.reproduce("SOodd", n=3, q=2)
     assert rep["flag_checks"]["hw strictly inside pha at n=3"]
+
+
+BUILDERS = ("i_dominant_cone", "neg_levi_cone", "gs_cone", "pha_cone", "hw_cone", "lw_cone")
+
+
+@pytest.mark.parametrize(
+    "name,params", [("U21-inert", {"q": 2}), ("SOodd", {"n": 3, "q": 2})], ids=["U21", "SOodd"]
+)
+def test_reproduce_builds_each_cone_once_per_context(monkeypatch, name, params):
+    calls = Counter()
+    seen = []  # keeps every context alive, so no id is reused
+
+    def counting(builder, fn):
+        def wrapper(ctx, *args):
+            seen.append(ctx)
+            calls[builder, id(ctx)] += 1
+            return fn(ctx, *args)
+        return wrapper
+
+    for builder in BUILDERS:
+        monkeypatch.setattr(zipcones, builder, counting(builder, getattr(zipcones, builder)))
+    rep = catalog.reproduce(name, **params)
+    assert rep["passed"]
+    assert {builder for builder, _ in calls} == set(BUILDERS)
+    assert set(calls.values()) == {1}, calls
+
+    report = rep["zip_report"]["cones"]
+    quotient = catalog.preset_with_meta(name, **params)[1].get("quotient_map")
+    for row in rep["rows"]:
+        cone = report[rep["zip_route"].split()[0] if row["name"] == "zip" else row["name"]]
+        if quotient is not None:
+            cone = RationalCone.from_json(cone).image_under(quotient).to_json()
+        assert json.dumps(row["computed"]) == json.dumps(cone), row["name"]
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("U21-inert", {"q": 2, "n": 7}),
+        ("SOodd", {"n": 3, "q": 2, "m": 2}),
+        ("U21-inert", {}),
+        ("SOodd", {"n": 3, "q": None}),
+    ],
+    ids=["u21-n", "soodd-m", "u21-no-q", "soodd-none-q"],
+)
+def test_reproduce_rejects_parameters_its_example_does_not_take(name, params):
+    with pytest.raises(BadParams):
+        catalog.reproduce(name, **params)
 
 
 def test_reproduce_unknown_example():

@@ -149,6 +149,22 @@ def test_reproduce_exit_codes(capsys):
     assert json.loads(err)["error"] == "UnknownPreset"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--example", "U21-inert", "--q", "2", "--n", "7"),
+        ("--example", "U21-inert", "--q", "2", "--m", "1"),
+        ("--example", "SOodd", "--n", "3", "--q", "2", "--m", "2"),
+    ],
+    ids=["u21-n", "u21-m", "soodd-m"],
+)
+def test_reproduce_rejects_ignored_parameters(capsys, argv):
+    code, out, err = run(capsys, "--format", "json", "reproduce", *argv)
+    assert_json_user_error(code, err)
+    assert json.loads(err)["error"] == "BadParams"
+    assert not out
+
+
 # zipcontext.v1 files that int() coercion used to accept: each edit makes
 # the U21 context invalid without changing what int() would read from it
 SCHEMA_EDITS = {
@@ -213,8 +229,9 @@ def test_enum_cap_exit_code_three(capsys, monkeypatch, tmp_path):
         ("classify", "--max-rank", "5"),
         ("describe", "--context", None),
         ("reproduce", "--example", "SOodd", "--n", "3", "--q", "2"),
+        ("reproduce", "--example", "U21-inert", "--q", "2"),
     ],
-    ids=["classify", "describe", "reproduce"],
+    ids=["classify", "describe", "reproduce", "reproduce-u21"],
 )
 def test_stdout_independent_of_hash_seed(u21_path, argv):
     argv = [u21_path if a is None else a for a in argv]

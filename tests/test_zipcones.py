@@ -218,6 +218,27 @@ def test_weil_transport_gs_identity():
         assert moved.equal(zipcones.gs_cone(ctx)), name
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_split_context_is_ctx_exactly_when_it_would_rebuild_it(q):
+    for name, ctx in catalog.standard_catalog(q):
+        for r in sorted({1, ctx.split_degree}):
+            sctx = zipcones.split_context(ctx, r)
+            assert (sctx is ctx) == (r == 1 and ctx.I0 == ctx.I), (name, r)
+            sigma_r = linalg.mat_pow(ctx.frob.sigma, r)
+            fresh = zipcones.make_context(ctx.rd, validate_frobenius(ctx.rd, q ** r, sigma_r), ctx.I0)
+            assert sctx == fresh, (name, r)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_report_weil_hw_matches_transport_from_fresh_split_context(q):
+    for (name, ctx), (_, fresh) in zip(catalog.standard_catalog(q), catalog.standard_catalog(q)):
+        r = fresh.split_degree
+        sigma_r = linalg.mat_pow(fresh.frob.sigma, r)
+        sctx = zipcones.make_context(fresh.rd, validate_frobenius(fresh.rd, q ** r, sigma_r), fresh.I0)
+        oracle = zipcones.weil_transport(fresh, r, zipcones.hw_cone(sctx)).complete()
+        assert zipcones.zip_report(ctx)["cones"]["weil_hw"] == oracle.to_json(), name
+
+
 def test_weil_transport_zero_cone(u21):
     zero = cone_from_generators(3, [])
     assert zipcones.weil_transport(u21, 2, zero).equal(zero)
