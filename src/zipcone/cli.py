@@ -16,7 +16,7 @@ from .errors import BadParams, CapExceeded, ZipconeError
 from .rootdata import RootDatum, build_root_datum, perm_orbits, validate_frobenius
 from .zipcones import ZipContext, make_context
 
-CONE_NAMES = ("gs", "pha", "hw", "lw", "dominant", "idominant", "neglevi")
+CONE_NAMES = zipcones.CONE_BUILDERS
 
 
 def load_context(path: str) -> ZipContext:
@@ -259,8 +259,6 @@ def cmd_reproduce(args) -> int:
         params["q"] = args.q
     if args.n is not None:
         params["n"] = args.n
-    if args.m is not None:
-        params["m"] = args.m
     report = catalog.reproduce(args.example, **params)
 
     def as_text(rep):
@@ -325,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", required=True)
     p.add_argument("--q", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
     p.set_defaults(func=cmd_reproduce)
     return parser
 

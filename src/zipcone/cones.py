@@ -31,8 +31,9 @@ def _tight_set(vec, constraints):
 def dual_description(dim: int, ineqs):
     """Extreme rays and lineality of {x : <a, x> >= 0 for a in ineqs}.
 
-    Incremental double description; returns (rays, lineality_basis) with
-    rays reduced to canonical representatives modulo the lineality space.
+    Incremental double description; returns (rays, lineality_basis) in
+    canonical form: the basis is the primitive rows of the lineality's RREF,
+    and the rays are primitive, reduced modulo that RREF and sorted.
     """
     check_dim(dim)
     lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
@@ -98,14 +99,12 @@ def dual_description(dim: int, ineqs):
                             new_rays.append(combo)
                 rays = new_rays
         inserted.append(a)
-    lin_basis = linalg.canonical_subspace_basis(lin) if lin else ()
-    if lin_basis:
-        red, piv_cols = linalg.rref(lin_basis)
-        rays = [
-            linalg.primitive(linalg.reduce_mod_subspace(r, red, piv_cols)) for r in rays
-        ]
-        rays = [r for r in rays if not linalg.is_zero(r)]
-    return tuple(sorted(set(rays))), tuple(lin_basis)
+    if not lin:
+        return tuple(sorted(set(rays))), ()
+    red, piv_cols = linalg.rref(lin)
+    rays = [linalg.primitive(linalg.reduce_mod_subspace(r, red, piv_cols)) for r in rays]
+    rays = [r for r in rays if not linalg.is_zero(r)]
+    return tuple(sorted(set(rays))), tuple(linalg.primitive(row) for row in red)
 
 
 def _merge(rays, lin):
@@ -143,24 +142,25 @@ class RationalCone:
     # -- completion ------------------------------------------------------
 
     def complete(self) -> "RationalCone":
-        """Fill in the missing side and canonicalize both (idempotent)."""
+        """Fill in the missing side and canonicalize both (idempotent).
+
+        The missing side is computed from the given one, then the given side
+        is recomputed from it: two DD passes, each returning the canonical
+        form of the side it computes.  When both sides are given, the
+        generators lead and the inequalities are checked against the result.
+        """
         if self._canonical:
             return self
         given_ineqs = self._ineqs if self._gens is not None else None
         if self._gens is not None:
-            if self._ineqs is not None:
+            if given_ineqs is not None:
                 self._check_mutual()
-            gens_in = self._gens
+            ineqs = _merge(*dual_description(self.dim, self._gens))
+            gens = _merge(*dual_description(self.dim, ineqs))
         else:
-            rays, lin = dual_description(self.dim, self._ineqs)
-            gens_in = _merge(rays, lin)
-        # H-rep: the dual cone of the generators, flattened
-        dual_rays, dual_lin = dual_description(self.dim, gens_in)
-        ineqs = _merge(dual_rays, dual_lin)
-        # canonical V-rep from the canonical H-rep
-        rays, lin = dual_description(self.dim, ineqs)
-        self._gens = _merge(rays, lin)
-        self._ineqs = ineqs
+            gens = _merge(*dual_description(self.dim, self._ineqs))
+            ineqs = _merge(*dual_description(self.dim, gens))
+        self._gens, self._ineqs = gens, ineqs
         self._canonical = True
         if given_ineqs is not None:
             # round-trip check: the given inequalities must cut the same cone

@@ -137,29 +137,6 @@ def mat_inverse(m: Mat) -> Mat:
     return inv
 
 
-def det(m: Mat):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [[Q(x) for x in row] for row in m]
-    sign = 1
-    prod = Q(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        prod *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    val = sign * prod
-    return int(val) if val.denominator == 1 else val
-
-
 def rank(rows) -> int:
     return len(rref(rows)[0])
 

@@ -17,6 +17,7 @@ from .errors import (
     InvalidCartan,
     NonFiniteSystem,
     NotAnAutomorphism,
+    SingularMap,
 )
 
 ROOT_CLOSURE_CAP = 10_000
@@ -332,13 +333,12 @@ def validate_frobenius(rd: RootDatum, q: int, sigma) -> FrobeniusDatum:
     sigma = tuple(tuple(int(x) for x in row) for row in sigma)
     if len(sigma) != rd.n or any(len(row) != rd.n for row in sigma):
         raise DimensionMismatch("sigma must be n x n")
-    d = linalg.det(sigma)
-    if d not in (1, -1):
-        raise NotAnAutomorphism(f"sigma has determinant {d}, not invertible over Z")
+    # a sigma of finite order has determinant +-1, so this also rejects
+    # every sigma that is singular or not invertible over Z
     try:
         order = linalg.mat_order(sigma, cap=SIGMA_ORDER_CAP)
-    except Exception as exc:
-        raise NotAnAutomorphism(f"sigma order exceeds cap {SIGMA_ORDER_CAP}") from exc
+    except SingularMap as exc:
+        raise NotAnAutomorphism(f"sigma has no finite order up to {SIGMA_ORDER_CAP}") from exc
     perm = []
     root_index = {root: i for i, root in enumerate(rd.simple_roots)}
     for i, root in enumerate(rd.simple_roots):

@@ -132,23 +132,23 @@ def split_context(ctx: ZipContext, r: int | None = None) -> ZipContext:
 # -- delta_alpha ----------------------------------------------------------
 
 
+def _orbit_coroot_sum(ctx: ZipContext, coroot):
+    """(sum_{j<r} q^j sigma*^j(coroot), r) for r the sigma*-orbit length of coroot."""
+    costar = ctx.frob.sigma_costar
+    total, r = coroot, 1
+    cur, qpow = linalg.mat_vec(costar, coroot), ctx.q
+    while cur != coroot:
+        if r == ctx.frob.sigma_order:
+            raise InternalError("coroot orbit longer than sigma order")
+        total = linalg.vec_add(total, linalg.vec_scale(qpow, cur))
+        cur, qpow, r = linalg.mat_vec(costar, cur), qpow * ctx.q, r + 1
+    return total, r
+
+
 def delta_alpha(ctx: ZipContext, alpha):
     """The rational cocharacter with delta - q sigma(delta) = alpha^vee."""
-    coroot = ctx.rd.coroot_of(tuple(alpha))
-    costar = ctx.frob.sigma_costar
-    orbit = [coroot]
-    cur = linalg.mat_vec(costar, coroot)
-    while cur != coroot:
-        orbit.append(cur)
-        cur = linalg.mat_vec(costar, cur)
-        if len(orbit) > ctx.frob.sigma_order:
-            raise InternalError("coroot orbit longer than sigma order")
-    r = len(orbit)
-    q = ctx.q
-    denom = q ** r - 1
-    total = tuple(
-        sum(q ** j * orbit[j][k] for j in range(r)) for k in range(ctx.n)
-    )
+    total, r = _orbit_coroot_sum(ctx, ctx.rd.coroot_of(tuple(alpha)))
+    denom = ctx.q ** r - 1
     return tuple(Q(-t, denom) for t in total)
 
 
@@ -217,7 +217,7 @@ def hz_map(ctx: ZipContext):
 
 
 def pha_cone(ctx: ZipContext) -> RationalCone:
-    """Saturation of h_Z(X*_+(T)), completed.
+    """Saturation of h_Z(X*_+(T)).
 
     The dominance inequalities are pulled back through h_Z^{-1} (covectors
     transform by the inverse-transpose).  h_Z is invertible for q >= 2 since
@@ -226,7 +226,7 @@ def pha_cone(ctx: ZipContext) -> RationalCone:
     """
     hinvt = linalg.transpose(linalg.mat_inverse(hz_map(ctx)))
     ineqs = [linalg.mat_vec(hinvt, av) for av in ctx.rd.simple_coroots]
-    return cone_from_inequalities(ctx.n, ineqs).complete()
+    return cone_from_inequalities(ctx.n, ineqs)
 
 
 def k_alpha_period(ctx: ZipContext) -> int:
@@ -318,15 +318,7 @@ def norm_matrix(ctx: ZipContext):
 def _norm_covector(ctx: ZipContext, alpha_index: int, pre_matrix=None):
     """Covector of sum_{w in W_{L0}(F_q)} sum_{i<r_a} q^{i+l(w)} <w M lam, sigma^i a^vee>
     (as a <= 0 constraint; the caller flips the sign)."""
-    coroot = ctx.rd.simple_coroots[alpha_index]
-    costar = ctx.frob.sigma_costar
-    orbit_part = tuple(0 for _ in range(ctx.n))
-    cur = coroot
-    qpow = 1
-    for _ in range(ctx.r_alpha[alpha_index]):
-        orbit_part = linalg.vec_add(orbit_part, linalg.vec_scale(qpow, cur))
-        cur = linalg.mat_vec(costar, cur)
-        qpow *= ctx.q
+    orbit_part, _ = _orbit_coroot_sum(ctx, ctx.rd.simple_coroots[alpha_index])
     total = linalg.mat_vec(norm_matrix(ctx), orbit_part)
     if pre_matrix is not None:
         total = linalg.mat_vec(linalg.transpose(pre_matrix), total)
@@ -385,8 +377,15 @@ def lw_cone(ctx: ZipContext):
     ineqs = [ctx.rd.simple_coroots[i] for i in ctx.I]
     for a in ctx.delta_p0:
         ineqs.append(linalg.vec_neg(_norm_covector(ctx, a, pre_matrix=pre)))
-    certified = all(check_cond_commute(ctx, a) for a in ctx.delta_p)
-    return cone_from_inequalities(ctx.n, ineqs), certified
+    return cone_from_inequalities(ctx.n, ineqs), certified_lw(ctx)
+
+
+def certified_lw(ctx: ZipContext) -> bool:
+    """Whether every alpha in Delta^P passes the commutation condition, so
+    that the lw cone lies in the zip cone; cached on the context."""
+    if "certified_lw" not in ctx._cache:
+        ctx._cache["certified_lw"] = all(check_cond_commute(ctx, a) for a in ctx.delta_p)
+    return ctx._cache["certified_lw"]
 
 
 # -- Weil restriction transport -------------------------------------------
@@ -430,7 +429,7 @@ def hasse_criteria(ctx: ZipContext) -> dict:
 # -- the report -------------------------------------------------------------
 
 
-CONE_BUILDERS = ("dominant", "idominant", "neglevi", "gs", "pha", "hw", "lw")
+CONE_BUILDERS = ("gs", "pha", "hw", "lw", "dominant", "idominant", "neglevi")
 REPORT_CONES = ("idominant", "neglevi", "gs", "pha", "hw", "lw", "weil_hw")
 
 
@@ -449,12 +448,6 @@ def report_cone(ctx: ZipContext, which: str) -> RationalCone:
     return ctx._cache[key]
 
 
-def certified_lw(ctx: ZipContext) -> bool:
-    """The certification flag of `lw_cone`, kept with the cached lw cone."""
-    report_cone(ctx, "lw")
-    return ctx._cache["certified_lw"]
-
-
 def _build(ctx: ZipContext, which: str) -> RationalCone:
     if which == "dominant":
         return dominant_cone(ctx)
@@ -469,8 +462,7 @@ def _build(ctx: ZipContext, which: str) -> RationalCone:
     if which == "hw":
         return hw_cone(ctx)
     if which == "lw":
-        cone, ctx._cache["certified_lw"] = lw_cone(ctx)
-        return cone
+        return lw_cone(ctx)[0]
     if which == "weil_hw":
         hw = report_cone(split_context(ctx), "hw")
         return weil_transport(ctx, ctx.split_degree, hw)

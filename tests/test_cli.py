@@ -159,9 +159,37 @@ def test_reproduce_exit_codes(capsys):
     ids=["u21-n", "u21-m", "soodd-m"],
 )
 def test_reproduce_rejects_ignored_parameters(capsys, argv):
+    if "--m" in argv:
+        # no example takes m, so reproduce has no such option: a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["--format", "json", "reproduce", *argv])
+        assert exc.value.code == 2
+        assert not capsys.readouterr().out
+        return
     code, out, err = run(capsys, "--format", "json", "reproduce", *argv)
     assert_json_user_error(code, err)
     assert json.loads(err)["error"] == "BadParams"
+    assert not out
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+        [[1, 1, 0], [-1, 1, 0], [0, 0, 1]],
+        [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+    ],
+    ids=["singular", "det-2", "shear"],
+)
+def test_sigma_without_finite_order_is_one_json_error(capsys, tmp_path, u21_path, sigma):
+    data = json.loads(Path(u21_path).read_text())
+    data["frobenius"]["sigma"] = sigma
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "--format", "json", "describe", "--context", str(path))
+    assert_json_user_error(code, err)
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "NotAnAutomorphism"
     assert not out
 
 

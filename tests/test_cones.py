@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zipcone import fm, linalg
+from zipcone import cones, fm, linalg
 from zipcone.cones import (
     RationalCone,
+    dual_description,
     cone_from_generators,
     cone_from_inequalities,
     whole_space,
@@ -156,7 +157,44 @@ def test_both_sides_must_describe_same_cone():
     RationalCone(2, generators=[(1, 0), (0, 1)], inequalities=[(1, 0), (0, 1)]).complete()
 
 
-def test_canonical_form_independent_of_route():
+@st.composite
+def generator_sets(draw):
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    return dim, draw(st.lists(vec, max_size=7))
+
+
+@st.composite
+def redundant_rows(draw, rows):
+    """Scaled copies and nonnegative combinations of the given rows."""
+    if not rows:
+        return []
+    row = st.sampled_from(rows)
+    copies = draw(st.lists(st.tuples(st.integers(1, 3), row), max_size=4))
+    combo = st.lists(st.tuples(st.integers(0, 3), row), min_size=2, max_size=3)
+    combos = draw(st.lists(combo, max_size=4))
+    out = [linalg.vec_scale(k, r) for k, r in copies]
+    for terms in combos:
+        total = tuple(0 for _ in rows[0])
+        for k, r in terms:
+            total = linalg.vec_add(total, linalg.vec_scale(k, r))
+        out.append(total)
+    return out
+
+
+def assert_dd_output_canonical(dim, rows):
+    """DD returns the canonical form of the side it computes: the lineality
+    basis is the primitive RREF rows of its span, each ray is reduced modulo it."""
+    rays, lin = dual_description(dim, rows)
+    assert lin == linalg.canonical_subspace_basis(lin)
+    red, pivots = linalg.rref(lin)
+    assert all(linalg.reduce_mod_subspace(r, red, pivots) == r for r in rays)
+    assert rays == tuple(sorted(set(map(linalg.primitive, rays))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_sets(), st.data())
+def test_canonical_form_independent_of_route(drawn, data):
     # the same cone reaches one canonical json via either description
     gens_a = [(2, 1, 0), (1, 2, 0), (0, 0, 1), (3, 3, 1)]  # last is redundant
     gens_b = [(4, 2, 0), (1, 2, 0), (0, 0, 3), (1, 2, 3)]
@@ -166,16 +204,46 @@ def test_canonical_form_independent_of_route():
     assert c1.to_json() == c2.to_json()
     c3 = cone_from_inequalities(3, c1.inequalities).complete()
     assert c3.to_json() == c1.to_json()
+    # a plane of lineality whose DD basis, before the RREF, is not canonical
+    assert_dd_output_canonical(4, [(1, 2, 0, 1), (-1, -2, 0, -1), (0, 1, 1, -1), (0, -1, -1, 1)])
+    # drawn cones, each side padded with redundant and duplicated rows
+    dim, gens = drawn
+    canonical = cone_from_generators(dim, gens).to_json()
+    ineqs = [tuple(h) for h in canonical["inequalities"]]
+    extra = data.draw(redundant_rows(ineqs), label="extra inequalities")
+    rows = data.draw(st.permutations(ineqs + extra), label="inequality rows")
+    assert cone_from_inequalities(dim, rows).to_json() == canonical
+    assert_dd_output_canonical(dim, rows)
+    extra = data.draw(redundant_rows(gens), label="extra generators")
+    assert cone_from_generators(dim, gens + extra).to_json() == canonical
+
+
+@pytest.mark.parametrize(
+    "side,rows",
+    [
+        ("generators", [(1, 0, 0), (1, 1, 0), (0, 1, 1), (2, 1, 1)]),
+        ("inequalities", [(1, 0, 0), (1, 1, 0), (0, 1, 1), (2, 1, 1)]),
+        ("generators", [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]),  # with lineality
+        ("inequalities", [(1, 0, 0), (0, 1, 0), (0, -1, 0)]),  # with an equality
+    ],
+)
+def test_complete_makes_two_dd_passes(monkeypatch, side, rows):
+    calls = []
+
+    def counting(dim, rows):
+        calls.append(len(rows))
+        return dual_description(dim, rows)
+
+    monkeypatch.setattr(cones, "dual_description", counting)
+    c = RationalCone(3, **{side: rows})
+    c.complete()
+    assert len(calls) == 2
+    c.complete()
+    c.to_json()
+    assert len(calls) == 2
 
 
 # -- double-description properties on drawn generator sets --------------------
-
-
-@st.composite
-def generator_sets(draw):
-    dim = draw(st.integers(1, 4))
-    vec = st.tuples(*[st.integers(-3, 3)] * dim)
-    return dim, draw(st.lists(vec, max_size=7))
 
 
 def satisfies(gens, ineqs):

@@ -163,6 +163,20 @@ def test_frobenius_minus_identity_rejected():
         validate_frobenius(rd, 2, minus)
 
 
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        ((1, 0, 0), (0, 1, 0), (0, 0, 0)),
+        ((1, 1, 0), (-1, 1, 0), (0, 0, 1)),
+        ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+    ],
+    ids=["singular", "det-2", "shear"],
+)
+def test_frobenius_without_finite_order_rejected(sigma):
+    with pytest.raises(NotAnAutomorphism):
+        validate_frobenius(build_root_datum("GL3"), 2, sigma)
+
+
 def test_frobenius_q_too_small():
     rd = build_root_datum("GL3")
     with pytest.raises(NotAnAutomorphism):

@@ -1,4 +1,5 @@
 """Zip-context derived data and the weight cones of the worked examples."""
+import dataclasses
 import math
 import random
 from fractions import Fraction as Q
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from zipcone import catalog, hasse, linalg, weyl, zipcones
 from zipcone.cones import RationalCone, cone_from_generators, cone_from_inequalities
-from zipcone.errors import CapExceeded, InvalidR
+from zipcone.errors import CapExceeded, InternalError, InvalidR
 from zipcone.rootdata import (
     build_root_datum,
     datum_from_cartan,
@@ -199,6 +200,29 @@ def test_gs_inside_lw_on_catalog():
     for name, ctx in catalog.standard_catalog(2):
         lw, _ = zipcones.lw_cone(ctx)
         assert lw.contains(zipcones.gs_cone(ctx)), name
+
+
+def test_certified_lw_computed_without_the_lw_cone(monkeypatch):
+    def no_lw_cone(ctx):
+        raise AssertionError("certified_lw built the lw cone")
+
+    for name, ctx in catalog.standard_catalog(2):
+        fresh = zipcones.make_context(ctx.rd, ctx.frob, ctx.I)
+        expected = all(zipcones.check_cond_commute(fresh, a) for a in fresh.delta_p)
+        with monkeypatch.context() as m:
+            m.setattr(zipcones, "lw_cone", no_lw_cone)
+            assert zipcones.certified_lw(fresh) is expected, name
+        assert zipcones.lw_cone(fresh)[1] is expected, name
+        assert zipcones.zip_report(fresh)["certified_lw"] is expected, name
+
+
+def test_coroot_orbit_longer_than_sigma_order_is_internal_error(u21):
+    # the U21 sigma has order 2; a datum claiming order 1 cannot close the orbit
+    broken = dataclasses.replace(u21, frob=dataclasses.replace(u21.frob, sigma_order=1))
+    with pytest.raises(InternalError):
+        zipcones.delta_alpha(broken, broken.rd.simple_roots[0])
+    with pytest.raises(InternalError):
+        zipcones.hw_cone(broken)
 
 
 def test_cond_commute_cases(u21):
