@@ -153,7 +153,7 @@ def res_split_piece_types(ctx: ZipContext, blocks):
     """
     r = len(blocks)
     iset = set(ctx.I)
-    sigma_inv = linalg.mat_inverse(ctx.frob.sigma)
+    sigma_inv = linalg.transpose(ctx.frob.sigma_costar)
     i_vectors = {ctx.rd.simple_roots[i] for i in ctx.I}
     by_vector = []
     for j in range(r):

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, hasse, zipcones
-from .errors import BadParams, CapExceeded, ZipconeError
+from .errors import BadParams, CapExceeded, ZipconeError, json_integer, json_integers, json_vectors
 from .rootdata import RootDatum, build_root_datum, perm_orbits, validate_frobenius
 from .zipcones import ZipContext, make_context
 
@@ -27,13 +27,13 @@ def load_context(path: str) -> ZipContext:
         try:
             data = json.load(fh)
             rdj, fj = data["rootdatum"], data["frobenius"]
-            rank = _integer(rdj["rank"], "rootdatum.rank")
+            rank = json_integer(rdj["rank"], "rootdatum.rank")
             roots = _vectors(rdj["simple_roots"], "rootdatum.simple_roots", rank)
             coroots = _vectors(rdj["simple_coroots"], "rootdatum.simple_coroots", rank)
             label = rdj.get("label")
-            q = _integer(fj["q"], "frobenius.q")
+            q = json_integer(fj["q"], "frobenius.q")
             sigma = _vectors(fj["sigma"], "frobenius.sigma", rank)
-            levi = _integers(data["levi_indices"], "levi_indices")
+            levi = json_integers(data["levi_indices"], "levi_indices")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise BadParams(
                 f"malformed context file {path}: {type(exc).__name__}: {exc}"
@@ -47,28 +47,12 @@ def load_context(path: str) -> ZipContext:
     return make_context(rd, frob, levi)
 
 
-def _integer(value, where: str) -> int:
-    if type(value) is not int:  # bool is an int subclass; 2.0 is not an integer
-        raise BadParams(f"{where} must be a JSON integer, not {json.dumps(value)}")
-    return value
-
-
-def _integers(value, where: str) -> tuple:
-    return tuple(_integer(x, f"{where}[{i}]") for i, x in enumerate(_list(value, where)))
-
-
 def _vectors(value, where: str, rank: int) -> list:
-    vecs = [_integers(v, f"{where}[{i}]") for i, v in enumerate(_list(value, where))]
+    vecs = json_vectors(value, where)
     for i, v in enumerate(vecs):
         if len(v) != rank:
             raise BadParams(f"{where}[{i}] has {len(v)} entries, rootdatum.rank is {rank}")
     return vecs
-
-
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise BadParams(f"{where} must be a list, not {json.dumps(value)}")
-    return value
 
 
 def context_json(ctx: ZipContext) -> dict:

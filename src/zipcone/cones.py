@@ -11,7 +11,7 @@ as a test oracle.
 from __future__ import annotations
 
 from . import linalg
-from .errors import DimensionMismatch, DimensionTooLarge, SingularMap
+from .errors import BadParams, DimensionMismatch, DimensionTooLarge, json_integer, json_vectors
 
 DIM_CAP = 12
 
@@ -104,7 +104,7 @@ def dual_description(dim: int, ineqs):
     red, piv_cols = linalg.rref(lin)
     rays = [linalg.primitive(linalg.reduce_mod_subspace(r, red, piv_cols)) for r in rays]
     rays = [r for r in rays if not linalg.is_zero(r)]
-    return tuple(sorted(set(rays))), tuple(linalg.primitive(row) for row in red)
+    return tuple(sorted(set(rays))), tuple(red)
 
 
 def _merge(rays, lin):
@@ -226,41 +226,12 @@ class RationalCone:
             self.dim, inequalities=self.inequalities + other.inequalities
         )
 
-    def rank(self) -> int:
-        gens = self.generators
-        return linalg.rank(gens) if gens else 0
-
-    def lineality_basis(self):
-        gens = set(self.generators)
-        lines = [g for g in gens if linalg.vec_neg(g) in gens]
-        return linalg.canonical_subspace_basis(lines) if lines else ()
-
-    def is_zero(self) -> bool:
-        return not self.generators
-
     # -- maps --------------------------------------------------------------
 
-    def image_under(self, matrix, via: str = "generators") -> "RationalCone":
-        """Pushforward along a linear map.
-
-        The generator route works for any matrix (rows x dim).  The
-        inequality route needs a square invertible map; covectors then
-        transform by the inverse-transpose.
-        """
-        if via == "generators":
-            gens = [linalg.mat_vec(matrix, g) for g in self.generators]
-            return RationalCone(len(matrix), generators=gens)
-        if via == "inequalities":
-            if len(matrix) != self.dim or any(len(r) != self.dim for r in matrix):
-                raise SingularMap("inequality pushforward needs a square map")
-            try:
-                inv = linalg.mat_inverse(matrix)
-            except SingularMap:
-                raise SingularMap("inequality pushforward needs an invertible map")
-            invt = linalg.transpose(inv)
-            ineqs = [linalg.mat_vec(invt, h) for h in self.inequalities]
-            return RationalCone(self.dim, inequalities=ineqs)
-        raise ValueError(f"unknown route {via!r}")
+    def image_under(self, matrix) -> "RationalCone":
+        """Pushforward along a linear map (rows x dim) through the generators."""
+        gens = [linalg.mat_vec(matrix, g) for g in self.generators]
+        return RationalCone(len(matrix), generators=gens)
 
     # -- serialization ----------------------------------------------------
 
@@ -274,12 +245,17 @@ class RationalCone:
 
     @classmethod
     def from_json(cls, data: dict) -> "RationalCone":
+        """Read `to_json` output.  Every number must be a JSON integer (not a
+        float or a bool) and every container a list; anything else is
+        BadParams."""
+        if not isinstance(data, dict) or "dim" not in data:
+            raise BadParams("a cone needs a JSON object with a dim")
         gens = data.get("generators")
         ineqs = data.get("inequalities")
         return cls(
-            int(data["dim"]),
-            generators=[tuple(int(x) for x in g) for g in gens] if gens is not None else None,
-            inequalities=[tuple(int(x) for x in h) for h in ineqs] if ineqs is not None else None,
+            json_integer(data["dim"], "dim"),
+            generators=json_vectors(gens, "generators") if gens is not None else None,
+            inequalities=json_vectors(ineqs, "inequalities") if ineqs is not None else None,
         )
 
     def __repr__(self):
@@ -297,10 +273,6 @@ def cone_from_generators(dim: int, gens) -> RationalCone:
 
 def cone_from_inequalities(dim: int, ineqs) -> RationalCone:
     return RationalCone(dim, inequalities=ineqs)
-
-
-def whole_space(dim: int) -> RationalCone:
-    return RationalCone(dim, inequalities=[])
 
 
 def equality_pair(covector):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that turn
+malformed JSON input into BadParams."""
+
+import json
 
 
 class ZipconeError(Exception):
@@ -57,3 +60,23 @@ class BadParams(ZipconeError):
 
 class InternalError(ZipconeError):
     pass
+
+
+def json_integer(value, where: str) -> int:
+    if type(value) is not int:  # bool is an int subclass; 2.0 is not an integer
+        raise BadParams(f"{where} must be a JSON integer, not {json.dumps(value)}")
+    return value
+
+
+def json_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise BadParams(f"{where} must be a list, not {json.dumps(value)}")
+    return value
+
+
+def json_integers(value, where: str) -> tuple:
+    return tuple(json_integer(x, f"{where}[{i}]") for i, x in enumerate(json_list(value, where)))
+
+
+def json_vectors(value, where: str) -> list:
+    return [json_integers(v, f"{where}[{i}]") for i, v in enumerate(json_list(value, where))]

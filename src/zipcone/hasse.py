@@ -409,7 +409,6 @@ def _disconnected_diagrams(max_rank: int):
 
 def classify(
     max_rank: int,
-    require_no_isolated: bool = False,
     maximal_only: bool = False,
     connected_only: bool = True,
 ):
@@ -417,8 +416,8 @@ def classify(
 
     Every sigma-stable I is tried.  An isolated I-vertex is its own
     opposition image, so the condition keeps only triples whose isolated
-    I-vertices sigma fixes.  `require_no_isolated` additionally demands
-    I = I^(>=2); `maximal_only` keeps the triples passing `is_maximal`.
+    I-vertices sigma fixes.  `maximal_only` keeps the triples passing
+    `is_maximal`.
     """
     diagrams = connected_diagrams(max_rank)
     if not connected_only:
@@ -434,8 +433,6 @@ def classify(
                 if subset not in levis:
                     levis[subset] = _Levi(diagram, subset)
                 levi = levis[subset]
-                if require_no_isolated and levi.isolated:
-                    continue
                 if not levi.opposed_by(sigma):
                     continue
                 if maximal_only and not levi.maximal:

@@ -1,7 +1,8 @@
 """Exact linear algebra over Z and Q on tuple-based vectors and matrices.
 
 Vectors are tuples of ints or Fractions; matrices are tuples of row tuples.
-Everything here is exact; no floats anywhere.
+Everything here is exact; no floats anywhere.  All elimination goes
+through one fraction-free integer `rref`.
 """
 from __future__ import annotations
 
@@ -116,25 +117,20 @@ def mat_order(m: Mat, cap: int = 10000) -> int:
 
 
 def mat_inverse(m: Mat) -> Mat:
-    """Exact inverse with Fraction entries (entries stay int when unimodular)."""
+    """Exact inverse: the RREF of [m | I] is [I | m^-1].
+
+    Entries are ints when m is unimodular and Fractions otherwise; a singular
+    m raises SingularMap.
+    """
     n = len(m)
-    aug = [[Q(m[i][j]) for j in range(n)] + [Q(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise SingularMap("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [a / pv for a in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    inv = tuple(tuple(aug[i][n + j] for j in range(n)) for i in range(n))
-    if all(x.denominator == 1 for row in inv for x in row):
-        inv = tuple(tuple(int(x) for x in row) for row in inv)
-    return inv
+    red, pivots = rref([tuple(row) + tuple(1 if i == j else 0 for j in range(n))
+                        for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        raise SingularMap("matrix is singular")
+    # row i is d * (e_i | row i of m^-1) with d > 0 its pivot entry
+    if all(row[i] == 1 for i, row in enumerate(red)):
+        return tuple(row[n:] for row in red)
+    return tuple(tuple(Q(a, row[i]) for a in row[n:]) for i, row in enumerate(red))
 
 
 def rank(rows) -> int:
@@ -142,79 +138,61 @@ def rank(rows) -> int:
 
 
 def rref(rows):
-    """Reduced row echelon form over Q.
+    """Reduced row echelon form over Q, computed in integers.
 
-    Returns (rref_rows, pivot_columns); rref_rows contains no zero rows.
-    The RREF is the canonical basis of the row space.
+    Returns (rows, pivot_columns) without zero rows.  Each returned row is the
+    primitive integer multiple of the matching RREF row, with a positive
+    pivot entry, so the rows are a canonical basis of the row space.  The
+    elimination is fraction-free: each row operation cross-multiplies by the
+    pivot and makes the row primitive again.  Rational input rows are scaled
+    to integer rows first, which leaves the row space unchanged.
     """
-    mat = [[Q(x) for x in row] for row in rows]
+    mat = [primitive(row) for row in rows]
     pivots = []
     r = 0
     ncols = len(mat[0]) if mat else 0
     for col in range(ncols):
+        if r == len(mat):
+            break
         piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
         if piv is None:
             continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][col]
-        mat[r] = [a / pv for a in mat[r]]
+        row = mat[piv] if mat[piv][col] > 0 else vec_neg(mat[piv])
+        mat[piv], mat[r] = mat[r], row
+        p = row[col]
         for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][col]
+            if i != r and f != 0:
+                mat[i] = primitive(tuple(p * a - f * b for a, b in zip(mat[i], row)))
         pivots.append(col)
         r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+    return mat[:r], pivots
 
 
 def solve_in_span(basis, target):
-    """Coefficients c with sum(c_i * basis_i) == target, or None if not in span."""
-    if not basis:
-        return None if not is_zero(target) else ()
-    ncols = len(basis[0])
-    rows = [[Q(b[j]) for b in basis] + [Q(target[j])] for j in range(ncols)]
+    """Coefficients c with sum(c_i * basis_i) == target, or None if not in span.
+
+    Row-reduces [B^T | target]: target is in the span iff its column holds no
+    pivot; the coefficients of the columns without a pivot are 0.
+    """
     m = len(basis)
-    r = 0
-    pivots = []
-    for col in range(m):
-        piv = next((i for i in range(r, ncols) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][col]
-        rows[r] = [a / pv for a in rows[r]]
-        for i in range(ncols):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, ncols):
-        if rows[i][m] != 0:
-            return None
+    red, pivots = rref([tuple(b[j] for b in basis) + (target[j],) for j in range(len(target))])
+    if m in pivots:
+        return None
     coeffs = [Q(0)] * m
-    for i, col in enumerate(pivots):
-        coeffs[col] = rows[i][m]
+    for row, col in zip(red, pivots):
+        coeffs[col] = Q(row[m], row[col])
     return tuple(coeffs)
 
 
-def canonical_subspace_basis(rows):
-    """Canonical primitive-integer basis of the Q-span of the given rows.
-
-    RREF rows are unique for a given row space; scaling each to a primitive
-    integer vector keeps that uniqueness.
-    """
-    red, _ = rref(rows)
-    return tuple(primitive(row) for row in red)
-
-
-def reduce_mod_subspace(vec, rref_rows, pivots):
-    """Unique representative of vec modulo the row space of an RREF basis."""
-    v = [Q(x) for x in vec]
-    for row, col in zip(rref_rows, pivots):
-        if v[col] != 0:
-            f = v[col]  # rref pivot entry is 1
-            v = [a - f * b for a, b in zip(v, row)]
-    return tuple(v)
+def reduce_mod_subspace(vec, rows, pivots):
+    """A positive multiple of the unique representative of vec modulo the row
+    space of an `rref` basis: each pivot entry is cleared by cross-multiplying
+    with the positive pivot of its row."""
+    v = tuple(vec)
+    for row, col in zip(rows, pivots):
+        f = v[col]
+        if f != 0:
+            p = row[col]
+            v = tuple(p * a - f * b for a, b in zip(v, row))
+    return v

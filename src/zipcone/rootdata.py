@@ -238,7 +238,7 @@ def exceptional_cartan(letter: str, n: int):
     raise InvalidCartan(f"unknown exceptional type {letter}{n}")
 
 
-_LABEL_RE = re.compile(r"^([ABCDEFG])(\d+)$")
+_LABEL_RE = re.compile(r"^(GL|SO|[ABCDEFG])(\d+)$")
 
 
 def build_root_datum(spec) -> RootDatum:
@@ -250,20 +250,18 @@ def build_root_datum(spec) -> RootDatum:
     simply-connected realization off the Cartan matrix.
     """
     if isinstance(spec, str):
-        if spec.startswith("GL"):
-            n = int(spec[2:])
-            if n < 1:
-                raise InvalidCartan("GL rank must be >= 1")
-            return _validate(_gl_datum(n, spec))
-        if spec.startswith("SO"):
-            m = int(spec[2:])
-            if m < 3 or m % 2 == 0:
-                raise InvalidCartan("SO label must be odd and >= 3")
-            return _validate(_type_bcd("B", (m - 1) // 2))
         m = _LABEL_RE.match(spec)
         if not m:
             raise InvalidCartan(f"unrecognized type label {spec!r}")
         letter, n = m.group(1), int(m.group(2))
+        if letter == "GL":
+            if n < 1:
+                raise InvalidCartan("GL rank must be >= 1")
+            return _validate(_gl_datum(n, spec))
+        if letter == "SO":
+            if n < 3 or n % 2 == 0:
+                raise InvalidCartan("SO label must be odd and >= 3")
+            return _validate(_type_bcd("B", (n - 1) // 2))
         if letter == "A":
             if n < 1:
                 raise InvalidCartan("A rank must be >= 1")
@@ -348,8 +346,7 @@ def validate_frobenius(rd: RootDatum, q: int, sigma) -> FrobeniusDatum:
         perm.append(root_index[img])
     if sorted(perm) != list(range(rd.r)):
         raise DoesNotPreserveBase("sigma does not permute the base bijectively")
-    costar = linalg.transpose(linalg.mat_inverse(sigma))
-    costar = tuple(tuple(int(x) for x in row) for row in costar)
+    costar = linalg.transpose(linalg.mat_inverse(sigma))  # int: sigma is unimodular
     for i in range(rd.r):
         img = linalg.mat_vec(costar, rd.simple_coroots[i])
         if img != rd.simple_coroots[perm[i]]:

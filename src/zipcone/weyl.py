@@ -39,33 +39,14 @@ class WeylElement:
     def key(self):
         return (self.length, self.matrix)
 
-    def to_json(self) -> dict:
-        return {
-            "matrix": [list(row) for row in self.matrix],
-            "word": list(self.word),
-            "length": self.length,
-        }
-
 
 def identity_element(rd: RootDatum) -> WeylElement:
     return WeylElement(linalg.mat_identity(rd.n), (), 0)
 
 
-def simple_reflection(rd: RootDatum, i: int) -> WeylElement:
-    return WeylElement(rd.reflection_matrix(i), (i,), 1)
-
-
 def reflect(rd: RootDatum, alpha_index: int, lam):
     """s_alpha(lam) = lam - <lam, alpha^vee> alpha."""
     return linalg.mat_vec(rd.reflection_matrix(alpha_index), lam)
-
-
-def compose(rd: RootDatum, w1: WeylElement, w2: WeylElement) -> WeylElement:
-    """w1 o w2 (apply w2 first); the stored word is the concatenation, the
-    length is recomputed by inversion counting so it stays honest."""
-    mat = linalg.mat_mul(w1.matrix, w2.matrix)
-    word = w1.word + w2.word
-    return WeylElement(mat, word, inversion_length(rd, mat))
 
 
 def inversion_length(rd: RootDatum, matrix) -> int:

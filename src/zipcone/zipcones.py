@@ -51,15 +51,6 @@ class ZipContext:
     def n(self) -> int:
         return self.rd.n
 
-    def p1_delta(self, alpha_index: int):
-        """Delta^{P_1} for alpha: sigma^-(m_alpha - 1) applied to Delta^P."""
-        m = self.m_alpha[alpha_index]
-        perm_inv = _perm_inverse(self.frob.sigma_perm)
-        out = set(self.delta_p)
-        for _ in range(m - 1):
-            out = {perm_inv[i] for i in out}
-        return tuple(sorted(out))
-
     def fixed_levi_weyl(self):
         """W_{L_0}(F_q) by brute force: all of W_{I0}, kept where it commutes
         with sigma.  The cones never call this; it is the oracle that
@@ -179,13 +170,6 @@ def neg_levi_cone(ctx: ZipContext) -> RationalCone:
     return cone_from_inequalities(ctx.n, ineqs)
 
 
-def is_levi_regular(ctx: ZipContext, lam) -> bool:
-    """Strict negativity on Delta^P inside X*(L) (reported as a flag)."""
-    return all(pair(lam, ctx.rd.simple_coroots[i]) == 0 for i in ctx.I) and all(
-        pair(lam, ctx.rd.simple_coroots[a]) < 0 for a in ctx.delta_p
-    )
-
-
 def gs_cone(ctx: ZipContext) -> RationalCone:
     """Nonnegative on I-coroots, nonpositive on coroots of Phi+ \\ Phi+_L."""
     iset = set(ctx.I)
@@ -202,8 +186,8 @@ def gs_cone(ctx: ZipContext) -> RationalCone:
 
 
 def _twist_matrix(ctx: ZipContext):
-    """w_{0,I} sigma^{-1} on X*(T)."""
-    return linalg.mat_mul(ctx.w0I.matrix, linalg.mat_inverse(ctx.frob.sigma))
+    """w_{0,I} sigma^{-1} on X*(T); sigma^{-1} is the transpose of sigma*."""
+    return linalg.mat_mul(ctx.w0I.matrix, linalg.transpose(ctx.frob.sigma_costar))
 
 
 def hz_map(ctx: ZipContext):
@@ -339,8 +323,8 @@ def check_cond_commute(ctx: ZipContext, alpha_index: int) -> bool:
     m = ctx.m_alpha[alpha_index]
     if m <= 2:
         return True
-    sigma_inv = linalg.mat_inverse(ctx.frob.sigma)
-    costar_inv = linalg.mat_inverse(ctx.frob.sigma_costar)
+    sigma_inv = linalg.transpose(ctx.frob.sigma_costar)  # sigma* = (sigma^-1)^T
+    costar_inv = linalg.transpose(ctx.frob.sigma)
     root = ctx.rd.simple_roots[alpha_index]
     coroot = ctx.rd.simple_coroots[alpha_index]
     roots, coroots = [root], [coroot]

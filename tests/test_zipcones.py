@@ -38,7 +38,6 @@ def test_context_gl3_inert_hand_trace(u21):
     assert u21.r_alpha == (2, 2)
     assert u21.m_alpha == {1: 2}
     assert u21.split_degree == 2
-    assert u21.p1_delta(1) == (0,)  # sigma^-1(Delta^P) = {e1-e2}
 
 
 def test_context_so_odd_split():
@@ -376,12 +375,6 @@ def test_degenerate_full_levi_report():
     for name in rep["inner_bounds"]:
         inner = RationalCone.from_json(rep["cones"][name])
         assert idom.contains(inner)
-
-
-def test_levi_regular_flag(u21):
-    assert zipcones.is_levi_regular(u21, (-1, -1, 0))
-    assert not zipcones.is_levi_regular(u21, (0, 0, 0))  # not strict
-    assert not zipcones.is_levi_regular(u21, (1, 0, 0))  # not on X*(L)
 
 
 # -- the coset chain behind the norm covectors ------------------------------
