@@ -34,7 +34,9 @@ def _gl3_split(q: int):
 
 
 def _so_odd(n: int, q: int):
-    rd = build_root_datum(f"B{n}") if n >= 2 else build_root_datum((((1,),), ((2,),)))
+    if n < 1:
+        raise BadParams("n must be >= 1")
+    rd = build_root_datum(f"SO{2 * n + 1}")
     ctx = make_context(rd, split_frobenius(rd, q), range(1, rd.r))
     return ctx, {}
 

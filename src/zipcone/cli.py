@@ -138,7 +138,7 @@ def _parse_lambda(text: str, n: int):
     except ValueError as exc:
         raise BadParams(f"lambda must be comma-separated integers, not {text!r}") from exc
     if len(vec) != n:
-        raise ZipconeError(f"lambda has {len(vec)} entries, expected {n}")
+        raise BadParams(f"lambda has {len(vec)} entries, expected {n}")
     return vec
 
 

@@ -122,6 +122,8 @@ class RationalCone:
     def __init__(self, dim: int, generators=None, inequalities=None):
         if generators is None and inequalities is None:
             raise DimensionMismatch("need generators or inequalities")
+        if dim < 0:
+            raise BadParams(f"dim must be >= 0, not {dim}")
         self.dim = dim
         self._gens = self._normalize(generators) if generators is not None else None
         self._ineqs = self._normalize(inequalities) if inequalities is not None else None

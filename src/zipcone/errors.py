@@ -64,7 +64,8 @@ class InternalError(ZipconeError):
 
 def json_integer(value, where: str) -> int:
     if type(value) is not int:  # bool is an int subclass; 2.0 is not an integer
-        raise BadParams(f"{where} must be a JSON integer, not {json.dumps(value)}")
+        text = json.dumps(value, default=repr)
+        raise BadParams(f"{where} must be a JSON integer, not {text}")
     return value
 
 

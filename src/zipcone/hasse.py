@@ -24,54 +24,11 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .errors import BadParams, InternalError, InvalidCartan, RankTooLarge
-from .rootdata import exceptional_cartan, perm_orbits
+from .rootdata import cartan_matrix, perm_orbits
 from .zipcones import ZipContext
 
 
 # -- diagrams ---------------------------------------------------------------
-
-
-def cartan_matrix(letter: str, rank: int):
-    """Cartan matrix in the fixed vertex numbering.
-
-    A_n: path 1..n.  B_n/C_n: path with the double edge at (n-1, n), short
-    (resp. long) terminal vertex.  D_n: tail 1..n-2, fork tips n-1, n on
-    vertex n-2.  E/F/G: Bourbaki (E chain 1,3,4,..., vertex 2 on 4).
-    """
-    n = rank
-
-    def base(size):
-        return [[2 if i == j else 0 for j in range(size)] for i in range(size)]
-
-    if letter == "A":
-        c = base(n)
-        for i in range(n - 1):
-            c[i][i + 1] = c[i + 1][i] = -1
-    elif letter in ("B", "C"):
-        if n < 2:
-            raise InvalidCartan(f"{letter} rank must be >= 2")
-        c = base(n)
-        for i in range(n - 2):
-            c[i][i + 1] = c[i + 1][i] = -1
-        if letter == "B":
-            c[n - 2][n - 1] = -1  # <alpha_n (short), alpha_{n-1}^vee> = -1
-            c[n - 1][n - 2] = -2
-        else:
-            c[n - 2][n - 1] = -2
-            c[n - 1][n - 2] = -1
-    elif letter == "D":
-        if n < 3:
-            raise InvalidCartan("D rank must be >= 3")
-        c = base(n)
-        for i in range(n - 3):
-            c[i][i + 1] = c[i + 1][i] = -1
-        c[n - 3][n - 2] = c[n - 2][n - 3] = -1
-        c[n - 3][n - 1] = c[n - 1][n - 3] = -1
-    elif letter in ("E", "F", "G"):
-        return exceptional_cartan(letter, n)
-    else:
-        raise InvalidCartan(f"unknown type letter {letter}")
-    return tuple(tuple(row) for row in c)
 
 
 CONNECTED_TYPES = (
@@ -120,16 +77,19 @@ def _induced(cartan, vertices):
 
 
 def component_type(cartan, vertices) -> str:
-    """The finite type of one connected induced sub-diagram: the type whose
-    standard Cartan matrix it matches vertex for vertex.  Anything that
-    matches none (a cycle, a triple edge in rank 3, a disconnected set) is
+    """The finite type of one connected induced sub-diagram: the first type,
+    in the letter order A..G, whose standard Cartan matrix it matches vertex
+    for vertex (so A3 before D3 and B2 before C2).  Anything that matches
+    none (a cycle, a triple edge in rank 3, a disconnected set) is
     InvalidCartan."""
     sub, vs = _induced(cartan, vertices)
     r = len(vs)
-    letters = "A" + "B" * (r >= 2) + "C" * (r >= 3) + "D" * (r >= 4)
-    letters += "E" * (r in (6, 7, 8)) + "F" * (r == 4) + "G" * (r == 2)
-    for letter in letters:
-        if next(_isomorphisms(sub, cartan_matrix(letter, r)), None) is not None:
+    for letter in "ABCDEFG":
+        try:
+            standard = cartan_matrix(letter, r)
+        except InvalidCartan:
+            continue  # no type letter+r
+        if next(_isomorphisms(sub, standard), None) is not None:
             return f"{letter}{r}"
     raise InvalidCartan(f"not a finite-type diagram: {sub}")
 

@@ -18,6 +18,7 @@ from .errors import (
     NonFiniteSystem,
     NotAnAutomorphism,
     SingularMap,
+    json_integer,
 )
 
 ROOT_CLOSURE_CAP = 10_000
@@ -57,86 +58,87 @@ class RootDatum:
         return self._cache[key]
 
     def coreflection_matrix(self, i: int):
-        """Matrix of s_i on X_*(T): delta -> delta - <alpha_i, delta> alpha_i^vee."""
+        """Matrix of s_i on X_*(T): delta -> delta - <alpha_i, delta> alpha_i^vee,
+        the transpose of `reflection_matrix(i)` since s_i is an involution."""
         key = ("corefl", i)
         if key not in self._cache:
-            a, av = self.simple_roots[i], self.simple_coroots[i]
-            self._cache[key] = tuple(
-                tuple((1 if rr == cc else 0) - av[rr] * a[cc] for cc in range(self.n))
-                for rr in range(self.n)
-            )
+            self._cache[key] = linalg.transpose(self.reflection_matrix(i))
         return self._cache[key]
+
+    def root_record(self):
+        """Every positive root -> (its coroot, its simple-root coefficients),
+        ordered by height (sum of the coefficients), then lex.
+
+        One reflection closure over all simple roots builds it, once per
+        datum.  The closure starts from the simple roots, and s_i permutes
+        the positive roots other than alpha_i, so it only ever reaches
+        positive roots.  s_i changes only the i-th simple coefficient, by
+        -<beta, alpha_i^vee>, which records every root's coefficients.
+        """
+        if "record" in self._cache:
+            return self._cache["record"]
+        record = {
+            root: (coroot, tuple(int(k == i) for k in range(self.r)))
+            for i, (root, coroot) in enumerate(zip(self.simple_roots, self.simple_coroots))
+        }
+        work = list(record)
+        while work:
+            root = work.pop()
+            coroot, coeffs = record[root]
+            for i in range(self.r):
+                nr = linalg.mat_vec(self.reflection_matrix(i), root)
+                if nr in record or linalg.vec_neg(nr) in record:
+                    continue
+                c = list(coeffs)
+                c[i] -= linalg.dot(root, self.simple_coroots[i])
+                record[nr] = (linalg.mat_vec(self.coreflection_matrix(i), coroot), tuple(c))
+                work.append(nr)
+                if len(record) > 2 * ROOT_CLOSURE_CAP:
+                    raise NonFiniteSystem(
+                        f"root closure exceeded cap {ROOT_CLOSURE_CAP}"
+                    )
+        order = sorted(record, key=lambda root: (sum(record[root][1]), root))
+        self._cache["record"] = {root: record[root] for root in order}
+        return self._cache["record"]
 
     def root_coefficients(self, root):
         """Expansion of a root in the simple-root basis (integers), read off
-        the record kept by the reflection closure; DimensionMismatch for a
-        vector that is not a root."""
-        self.positive_roots_with_coroots()
-        record = self._cache[("coeffs", tuple(range(self.r)))]
-        root = tuple(root)
-        if root in record:
-            return record[root]
-        neg = linalg.vec_neg(root)
-        if neg in record:
-            return linalg.vec_neg(record[neg])
-        raise DimensionMismatch(f"{root} is not a root")
+        the root record; DimensionMismatch for a vector that is not a root."""
+        return self._lookup(tuple(root))[1]
 
     def is_positive_root_vector(self, root) -> bool:
         return all(c >= 0 for c in self.root_coefficients(root))
 
     def positive_roots_with_coroots(self, indices=None):
         """All positive roots of the sub-system generated by the given simple
-        indices (default: all), paired with their coroots.
-
-        The closure starts from the simple roots, and s_i permutes the
-        positive roots other than alpha_i, so it only ever reaches positive
-        roots.  s_i changes only the i-th simple coefficient, by
-        -<beta, alpha_i^vee>, which records every root's coefficients.
-
-        Deterministic order: by height (sum of simple coefficients), then lex.
-        """
+        indices (default: all), paired with their coroots: the roots of the
+        record supported on those indices, in the record's order."""
         idx = tuple(range(self.r)) if indices is None else tuple(sorted(indices))
         key = ("posroots", idx)
-        if key in self._cache:
-            return self._cache[key]
-        pairs, coeffs = {}, {}
-        work = []
-        for i in idx:
-            root, coroot = self.simple_roots[i], self.simple_coroots[i]
-            pairs[root] = coroot
-            coeffs[root] = tuple(1 if k == i else 0 for k in range(self.r))
-            work.append(root)
-        while work:
-            root = work.pop()
-            for i in idx:
-                nr = linalg.mat_vec(self.reflection_matrix(i), root)
-                if nr in pairs or linalg.vec_neg(nr) in pairs:
-                    continue
-                c = list(coeffs[root])
-                c[i] -= linalg.dot(root, self.simple_coroots[i])
-                pairs[nr] = linalg.mat_vec(self.coreflection_matrix(i), pairs[root])
-                coeffs[nr] = tuple(c)
-                work.append(nr)
-                if len(pairs) > 2 * ROOT_CLOSURE_CAP:
-                    raise NonFiniteSystem(
-                        f"root closure exceeded cap {ROOT_CLOSURE_CAP}"
-                    )
-        order = sorted(pairs, key=lambda root: (sum(coeffs[root]), root))
-        out = tuple((root, pairs[root]) for root in order)
-        self._cache[key] = out
-        self._cache[("coeffs", idx)] = coeffs
-        return out
+        if key not in self._cache:
+            outside = [k for k in range(self.r) if k not in idx]
+            self._cache[key] = tuple(
+                (root, coroot)
+                for root, (coroot, coeffs) in self.root_record().items()
+                if not any(coeffs[k] for k in outside)
+            )
+        return self._cache[key]
 
     def positive_roots(self, indices=None):
         return tuple(r for r, _ in self.positive_roots_with_coroots(indices))
 
     def coroot_of(self, root):
         """Coroot of any root (positive or negative)."""
-        for r, c in self.positive_roots_with_coroots():
-            if r == root:
-                return c
-            if linalg.vec_neg(r) == root:
-                return linalg.vec_neg(c)
+        return self._lookup(tuple(root))[0]
+
+    def _lookup(self, root):
+        """(coroot, coefficients) of a positive or negative root."""
+        record = self.root_record()
+        if root in record:
+            return record[root]
+        neg = linalg.vec_neg(root)
+        if neg in record:
+            return tuple(linalg.vec_neg(v) for v in record[neg])
         raise DimensionMismatch(f"{root} is not a root")
 
 
@@ -165,7 +167,7 @@ def _validate(rd: RootDatum) -> RootDatum:
     if linalg.rank(rd.simple_coroots) != r:
         raise InvalidCartan("simple coroots are linearly dependent")
     try:
-        rd.positive_roots_with_coroots()
+        rd.root_record()
     except NonFiniteSystem as exc:
         raise InvalidCartan(f"root system is not finite: {exc}") from exc
     return rd
@@ -182,28 +184,16 @@ def _gl_datum(n: int, label: str) -> RootDatum:
 
 
 def _type_bcd(letter: str, n: int) -> RootDatum:
-    roots, coroots = [], []
-    for i in range(n - 1):
-        v = [0] * n
-        v[i], v[i + 1] = 1, -1
-        roots.append(tuple(v))
-        coroots.append(tuple(v))
+    """B_n/C_n/D_n on Z^n: the roots e_i - e_{i+1} of GL_n and one more."""
+    roots = _gl_datum(n, "").simple_roots
+    e = tuple(int(k == n - 1) for k in range(n))
     if letter == "B":
-        e = [0] * n
-        e[n - 1] = 1
-        roots.append(tuple(e))
-        coroots.append(tuple(2 * x for x in e))
+        last, last_coroot = e, linalg.vec_scale(2, e)
     elif letter == "C":
-        e = [0] * n
-        e[n - 1] = 2
-        roots.append(tuple(e))
-        coroots.append(tuple(x // 2 for x in e))
-    elif letter == "D":
-        v = [0] * n
-        v[n - 2], v[n - 1] = 1, 1
-        roots.append(tuple(v))
-        coroots.append(tuple(v))
-    return RootDatum(n, tuple(roots), tuple(coroots), f"{letter}{n}")
+        last, last_coroot = linalg.vec_scale(2, e), e
+    else:
+        last = last_coroot = tuple(int(k >= n - 2) for k in range(n))
+    return RootDatum(n, roots + (last,), roots + (last_coroot,), f"{letter}{n}")
 
 
 def datum_from_cartan(cartan, label: str = "") -> RootDatum:
@@ -215,27 +205,38 @@ def datum_from_cartan(cartan, label: str = "") -> RootDatum:
     return _validate(RootDatum(r, roots, coroots, label))
 
 
-def exceptional_cartan(letter: str, n: int):
-    """Cartan matrices for G2/F4/E6/E7/E8 in Bourbaki numbering."""
-    def path_edges(pairs, size):
-        c = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
-        for i, j, dij, dji in pairs:
-            c[i][j], c[j][i] = dij, dji
-        return tuple(tuple(row) for row in c)
+def cartan_matrix(letter: str, rank: int):
+    """Cartan matrix C[i][j] = <alpha_j, alpha_i^vee> of the connected type
+    letter+rank, in the one vertex numbering every module uses.
 
-    if letter == "G" and n == 2:
-        # alpha_1 short, alpha_2 long: <a1, a2^vee> = -1, <a2, a1^vee> = -3
-        return path_edges([(0, 1, -3, -1)], 2)
-    if letter == "F" and n == 4:
-        # 1-2=>3-4 with alpha_1, alpha_2 long: <a3, a2^vee> = -1, <a2, a3^vee> = -2
-        return path_edges([(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)], 4)
-    if letter == "E" and n in (6, 7, 8):
-        # chain 1,3,4,5,6(,7,8) with vertex 2 attached to 4
+    A_n: path 1..n.  B_n/C_n: path with the double edge at (n-1, n), short
+    (resp. long) terminal vertex.  D_n (n >= 3): tail 1..n-2, fork tips n-1,
+    n on vertex n-2.  E/F/G: Bourbaki (E chain 1,3,4,..., vertex 2 on 4; F4
+    with alpha_1, alpha_2 long; G2 with alpha_1 short).  InvalidCartan for a
+    (letter, rank) that names no type.
+    """
+    n = rank
+    if letter == "A" and n >= 1:
+        edges = [(i, i + 1, -1, -1) for i in range(n - 1)]
+    elif letter in ("B", "C") and n >= 2:
+        edges = [(i, i + 1, -1, -1) for i in range(n - 2)]
+        # <alpha_n, alpha_{n-1}^vee> is -1 when alpha_n is short (B), -2 when long (C)
+        edges.append((n - 2, n - 1, -1, -2) if letter == "B" else (n - 2, n - 1, -2, -1))
+    elif letter == "D" and n >= 3:
+        edges = [(i, i + 1, -1, -1) for i in range(n - 2)] + [(n - 3, n - 1, -1, -1)]
+    elif letter == "E" and n in (6, 7, 8):
         chain = [0, 2, 3, 4, 5, 6, 7][: n - 1]
-        pairs = [(chain[i], chain[i + 1], -1, -1) for i in range(len(chain) - 1)]
-        pairs.append((1, 3, -1, -1))
-        return path_edges(pairs, n)
-    raise InvalidCartan(f"unknown exceptional type {letter}{n}")
+        edges = [(i, j, -1, -1) for i, j in zip(chain, chain[1:])] + [(1, 3, -1, -1)]
+    elif letter == "F" and n == 4:
+        edges = [(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)]
+    elif letter == "G" and n == 2:
+        edges = [(0, 1, -3, -1)]
+    else:
+        raise InvalidCartan(f"no Dynkin type {letter}{rank}")
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, cij, cji in edges:
+        c[i][j], c[j][i] = cij, cji
+    return tuple(tuple(row) for row in c)
 
 
 _LABEL_RE = re.compile(r"^(GL|SO|[ABCDEFG])(\d+)$")
@@ -262,16 +263,12 @@ def build_root_datum(spec) -> RootDatum:
             if n < 3 or n % 2 == 0:
                 raise InvalidCartan("SO label must be odd and >= 3")
             return _validate(_type_bcd("B", (n - 1) // 2))
+        cartan = cartan_matrix(letter, n)  # InvalidCartan if the label names no type
         if letter == "A":
-            if n < 1:
-                raise InvalidCartan("A rank must be >= 1")
             return _validate(_gl_datum(n + 1, spec))
         if letter in "BCD":
-            minimum = {"B": 2, "C": 2, "D": 3}[letter]
-            if n < minimum:
-                raise InvalidCartan(f"{letter} rank must be >= {minimum}")
             return _validate(_type_bcd(letter, n))
-        return datum_from_cartan(exceptional_cartan(letter, n), spec)
+        return datum_from_cartan(cartan, spec)
     roots, coroots = spec
     roots = tuple(tuple(v) for v in roots)
     coroots = tuple(tuple(v) for v in coroots)
@@ -326,9 +323,12 @@ class FrobeniusDatum:
 
 def validate_frobenius(rd: RootDatum, q: int, sigma) -> FrobeniusDatum:
     """Check sigma is a finite-order lattice automorphism permuting the base."""
-    if q < 2:
+    if json_integer(q, "q") < 2:
         raise NotAnAutomorphism("q must be >= 2")
-    sigma = tuple(tuple(int(x) for x in row) for row in sigma)
+    sigma = tuple(
+        tuple(json_integer(x, f"sigma[{i}][{j}]") for j, x in enumerate(row))
+        for i, row in enumerate(sigma)
+    )
     if len(sigma) != rd.n or any(len(row) != rd.n for row in sigma):
         raise DimensionMismatch("sigma must be n x n")
     # a sigma of finite order has determinant +-1, so this also rejects

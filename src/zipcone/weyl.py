@@ -1,8 +1,8 @@
 """Weyl group elements as lattice automorphisms.
 
-Elements are canonically identified by their matrices on X*(T); the stored
-word is only a carrier for the length.  Enumeration is breadth-first and
-returns a deterministic order (length, then lex of the matrix).
+Elements are canonically identified by their matrices on X*(T) and carry
+their length.  Enumeration is breadth-first and returns a deterministic
+order (length, then lex of the matrix).
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ def enum_cap() -> int:
 @dataclass(frozen=True)
 class WeylElement:
     matrix: tuple
-    word: tuple
     length: int
 
     def act(self, lam):
@@ -41,7 +40,7 @@ class WeylElement:
 
 
 def identity_element(rd: RootDatum) -> WeylElement:
-    return WeylElement(linalg.mat_identity(rd.n), (), 0)
+    return WeylElement(linalg.mat_identity(rd.n), 0)
 
 
 def reflect(rd: RootDatum, alpha_index: int, lam):
@@ -63,24 +62,22 @@ def longest_element(rd: RootDatum, indices) -> WeylElement:
     idx = tuple(sorted(indices))
     if not idx:
         return identity_element(rd)
+    roots = rd.positive_roots(idx)
     v = tuple(0 for _ in range(rd.n))
-    for root in rd.positive_roots(idx):
+    for root in roots:
         v = linalg.vec_add(v, root)
-    word = []
     mat = linalg.mat_identity(rd.n)
     steps = 0
-    limit = len(rd.positive_roots(idx)) + 1
     while True:
         k = next((i for i in idx if linalg.dot(v, rd.simple_coroots[i]) > 0), None)
         if k is None:
             break
         v = reflect(rd, k, v)
-        word.insert(0, k)
         mat = linalg.mat_mul(rd.reflection_matrix(k), mat)
         steps += 1
-        if steps > limit:
+        if steps > len(roots) + 1:
             raise InternalError("antidominance walk failed to terminate")
-    return WeylElement(mat, tuple(word), len(word))
+    return WeylElement(mat, steps)
 
 
 def enumerate_parabolic(rd: RootDatum, indices, cap: int | None = None):
@@ -104,7 +101,7 @@ def enumerate_parabolic(rd: RootDatum, indices, cap: int | None = None):
                 mat = linalg.mat_mul(w.matrix, rd.reflection_matrix(k))
                 if mat in seen:
                     continue
-                nw = WeylElement(mat, w.word + (k,), w.length + 1)
+                nw = WeylElement(mat, w.length + 1)
                 seen[mat] = nw
                 new_frontier.append(nw)
                 if len(seen) > cap:
@@ -163,7 +160,9 @@ def min_coset_reps(rd: RootDatum, indices, ambient=None, cap: int | None = None)
 
 
 def _coset_bfs(rd: RootDatum, idx, amb, cap: int):
-    positive = _positive_root_set(rd)
+    # keyed by the positive roots: a Weyl image of a root is a root, so
+    # membership alone decides its sign
+    positive = rd.root_record()
     ident = identity_element(rd)
     seen = {ident.matrix: ident}
     frontier = [(ident, tuple(rd.simple_roots[k] for k in idx))]
@@ -179,7 +178,7 @@ def _coset_bfs(rd: RootDatum, idx, amb, cap: int):
                 images = tuple(reflect(rd, j, v) for v in inv_images)
                 if not all(v in positive for v in images):
                     continue  # w s_j = s_k w for some k in K
-                nw = WeylElement(mat, w.word + (j,), w.length + 1)
+                nw = WeylElement(mat, w.length + 1)
                 seen[mat] = nw
                 new_frontier.append((nw, images))
                 if len(seen) > cap:
@@ -189,10 +188,3 @@ def _coset_bfs(rd: RootDatum, idx, amb, cap: int):
         frontier = new_frontier
     return tuple(sorted(seen.values(), key=WeylElement.key))
 
-
-def _positive_root_set(rd: RootDatum):
-    """The positive roots as a set: a Weyl image of a root is a root, so
-    membership alone decides its sign."""
-    if "positive_set" not in rd._cache:
-        rd._cache["positive_set"] = frozenset(rd.positive_roots())
-    return rd._cache["positive_set"]

@@ -331,10 +331,7 @@ def check_cond_commute(ctx: ZipContext, alpha_index: int) -> bool:
     for _ in range(m - 1):
         roots.append(linalg.mat_vec(sigma_inv, roots[-1]))
         coroots.append(linalg.mat_vec(costar_inv, coroots[-1]))
-    all_roots = set()
-    for r, _ in ctx.rd.positive_roots_with_coroots():
-        all_roots.add(r)
-        all_roots.add(linalg.vec_neg(r))
+    record = ctx.rd.root_record()
     for i in range(1, m - 1):
         for j in range(i + 1, m):
             if pair(roots[i], coroots[j]) != 0 or pair(roots[j], coroots[i]) != 0:
@@ -344,7 +341,7 @@ def check_cond_commute(ctx: ZipContext, alpha_index: int) -> bool:
                     combo = linalg.vec_add(
                         linalg.vec_scale(a, roots[i]), linalg.vec_scale(b, roots[j])
                     )
-                    if combo in all_roots:
+                    if combo in record or linalg.vec_neg(combo) in record:
                         return False
     return True
 

@@ -171,7 +171,7 @@ def test_criterion_10_weyl_layer():
             els = weyl.enumerate_parabolic(rd, range(rd.r))
             assert len(els) == order, label
             for w in els:
-                assert w.length == weyl.inversion_length(rd, w.matrix), (label, w.word)
+                assert w.length == weyl.inversion_length(rd, w.matrix), (label, w.matrix)
         rnd = random.Random(8)
         for label in ("B2", "B3", "B4"):
             rd = build_root_datum(label)

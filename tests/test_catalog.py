@@ -17,6 +17,11 @@ def test_preset_names_and_param_validation():
         catalog.preset("U21-inert", q=1)
     with pytest.raises(BadParams):
         catalog.preset("U21-inert", q=2, n=3)
+    for n in (0, -5):
+        with pytest.raises(BadParams, match="n must be >= 1"):
+            catalog.preset("SOodd", n=n, q=2)
+    so3 = catalog.preset("SOodd", n=1, q=2)
+    assert so3.rd.label == "B1" and so3.rd.simple_roots == ((1,),) and so3.I == ()
 
 
 def test_u21_preset_is_the_inert_picard_context():

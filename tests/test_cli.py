@@ -82,6 +82,7 @@ def test_member_bad_lambda_is_user_error(capsys, monkeypatch, u21_path, which, l
     code, _, err = run(capsys, "--format", "json", "member", "--context", u21_path,
                        "--which", which, "--lambda", lam)
     assert_json_user_error(code, err)
+    assert json.loads(err)["error"] == "BadParams"
 
 
 def test_include_with_witness(capsys, u21_path):

@@ -136,11 +136,17 @@ def test_json_round_trip():
         {"dim": 2, "inequalities": {"0": [1, 0]}},
         {"generators": [[1, 0]]},
         [[1, 0]],
+        {"dim": -1, "generators": []},
     ],
 )
 def test_from_json_accepts_json_integers_only(data):
     with pytest.raises(BadParams):
         RationalCone.from_json(data)
+
+
+def test_dim_zero_cone_stays_valid():
+    c = RationalCone.from_json({"dim": 0, "generators": []}).complete()
+    assert c.to_json() == {"dim": 0, "generators": [], "inequalities": []}
 
 
 def test_random_round_trips_and_fm_agreement():

@@ -1,7 +1,11 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from zipcone import hasse, linalg
 from zipcone.errors import (
+    BadParams,
     DimensionMismatch,
     DoesNotPreserveBase,
     InvalidCartan,
@@ -9,6 +13,7 @@ from zipcone.errors import (
 )
 from zipcone.rootdata import (
     build_root_datum,
+    cartan_matrix,
     datum_from_cartan,
     pair,
     perm_orbits,
@@ -49,6 +54,27 @@ def test_bad_type_label_raises_invalid_cartan(label):
         build_root_datum(label)
 
 
+TABLE_TYPES = (
+    [f"A{n}" for n in range(1, 13)]
+    + [f"{letter}{n}" for letter in "BC" for n in range(2, 13)]
+    + [f"D{n}" for n in range(3, 13)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", TABLE_TYPES)
+def test_cartan_table_is_the_datum_cartan(label):
+    assert build_root_datum(label).cartan() == cartan_matrix(label[0], int(label[1:]))
+
+
+@pytest.mark.parametrize("label", ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "G3", "H2"])
+def test_cartan_table_and_datum_reject_the_same_labels(label):
+    with pytest.raises(InvalidCartan):
+        cartan_matrix(label[0], int(label[1:]))
+    with pytest.raises(InvalidCartan):
+        build_root_datum(label)
+
+
 def test_invalid_cartan_rejected():
     # <a1, a2^vee> * <a2, a1^vee> = 4: affine A1~, not finite type
     with pytest.raises(InvalidCartan):
@@ -83,6 +109,47 @@ def _closure_by_hand(simple_roots, simple_coroots, height_cap):
                     roots.add(w)
                     changed = True
     return roots
+
+
+def _sub_closure_with_coroots(rd, indices):
+    """Independent oracle: the reflection closure over the simple roots of
+    `indices` alone, carrying coroots and coefficients, in the order by
+    height, then lex."""
+    pairs, coeffs, work = {}, {}, []
+    for i in indices:
+        pairs[rd.simple_roots[i]] = rd.simple_coroots[i]
+        coeffs[rd.simple_roots[i]] = tuple(int(k == i) for k in range(rd.r))
+        work.append(rd.simple_roots[i])
+    while work:
+        root = work.pop()
+        for i in indices:
+            a, av = rd.simple_roots[i], rd.simple_coroots[i]
+            p = linalg.dot(root, av)
+            image = tuple(x - p * y for x, y in zip(root, a))
+            if image in pairs or linalg.vec_neg(image) in pairs:
+                continue
+            c = list(coeffs[root])
+            c[i] -= p
+            coroot = pairs[root]
+            pairs[image] = tuple(x - linalg.dot(a, coroot) * y for x, y in zip(coroot, av))
+            coeffs[image] = tuple(c)
+            work.append(image)
+    order = sorted(pairs, key=lambda root: (sum(coeffs[root]), root))
+    return tuple((root, pairs[root]) for root in order)
+
+
+@pytest.mark.parametrize(
+    "label", [t for t in TABLE_TYPES if int(t[1:]) <= 6] + ["SO3", "GL4"]
+)
+def test_sub_system_roots_match_a_closure_over_the_subset(label):
+    rd = build_root_datum(label)
+    for size in range(rd.r + 1):
+        for indices in combinations(range(rd.r), size):
+            got = rd.positive_roots_with_coroots(indices)
+            assert got == _sub_closure_with_coroots(rd, indices), (label, indices)
+            for root, coroot in got:
+                assert rd.coroot_of(root) == coroot
+                assert rd.coroot_of(linalg.vec_neg(root)) == linalg.vec_neg(coroot)
 
 
 def test_g2_has_six_positive_roots():
@@ -183,6 +250,25 @@ def test_frobenius_minus_identity_rejected():
 def test_frobenius_without_finite_order_rejected(sigma):
     with pytest.raises(NotAnAutomorphism):
         validate_frobenius(build_root_datum("GL3"), 2, sigma)
+
+
+@pytest.mark.parametrize(
+    "q,sigma",
+    [
+        (2, [[1.7, 0], [0, 1.2]]),
+        (2, [[1.0, 0], [0, 1]]),
+        (2, [[True, 0], [0, 1]]),
+        (2, [[Fraction(1), 0], [0, 1]]),
+        (2.5, [[1, 0], [0, 1]]),
+        (2.0, [[1, 0], [0, 1]]),
+        (True, [[1, 0], [0, 1]]),
+    ],
+    ids=["float-sigma", "integral-float-sigma", "bool-sigma", "fraction-sigma", "float-q",
+         "integral-float-q", "bool-q"],
+)
+def test_frobenius_requires_integers(q, sigma):
+    with pytest.raises(BadParams):
+        validate_frobenius(build_root_datum("GL2"), q, sigma)
 
 
 def test_frobenius_q_too_small():

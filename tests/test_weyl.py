@@ -46,7 +46,7 @@ def test_act_identity_and_composition():
     e = weyl.identity_element(a2)
     assert e.act((4, -1, 2)) == (4, -1, 2)
     mat = linalg.mat_mul(a2.reflection_matrix(0), a2.reflection_matrix(1))  # s1 o s2
-    w = weyl.WeylElement(mat, (0, 1), weyl.inversion_length(a2, mat))
+    w = weyl.WeylElement(mat, weyl.inversion_length(a2, mat))
     alpha1 = a2.simple_roots[0]
     stepwise = weyl.reflect(a2, 0, weyl.reflect(a2, 1, alpha1))
     assert w.act(alpha1) == stepwise

@@ -418,6 +418,40 @@ def test_norm_matrix_matches_enumeration_on_drawn_contexts(ctx):
     assert zipcones.norm_matrix(ctx) == brute_norm_matrix(ctx)
 
 
+@st.composite
+def lattice_contexts(draw):
+    """A-D labels of build_root_datum in their lattice coordinates, with sigma
+    = 1, the GL flip e_i -> -e_{n-1-i} on A, or e_n -> -e_n on D."""
+    letter = draw(st.sampled_from("ABCD"))
+    rank = draw(st.integers({"A": 1, "B": 2, "C": 2, "D": 3}[letter], 5))
+    rd = build_root_datum(f"{letter}{rank}")
+    n = rd.n
+    sigma = linalg.mat_identity(n)
+    if letter == "A" and draw(st.booleans()):
+        sigma = tuple(tuple(-int(i + j == n - 1) for j in range(n)) for i in range(n))
+    if letter == "D" and draw(st.booleans()):
+        sigma = tuple(tuple(int(i == j) * (-1 if i == n - 1 else 1) for j in range(n)) for i in range(n))
+    q = draw(st.sampled_from([2, 3, 5]))
+    levi = draw(st.sets(st.integers(0, rank - 1)))
+    return zipcones.make_context(rd, validate_frobenius(rd, q, sigma), levi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(twisted_contexts(), lattice_contexts()))
+def test_paper_relations_on_drawn_contexts(ctx):
+    """Every inner bound lies in the I-dominant cone, and in the partial
+    Hasse cone in Hasse type; for a sigma-stable I the lattice criterion
+    agrees with the opposition condition of the induced Dynkin triple."""
+    rep = zipcones.zip_report(ctx)
+    for name in rep["inner_bounds"]:
+        assert [name, "idominant"] in rep["inclusions"], name
+        if rep["hasse_type"] and name != "pha":
+            assert [name, "pha"] in rep["inclusions"], name
+    if {ctx.frob.sigma_perm[i] for i in ctx.I} == set(ctx.I):
+        triple = hasse.triple_from_context(ctx)
+        assert hasse.opposition_condition(triple) == zipcones.is_hasse_type(ctx)
+
+
 # degrees of the basic invariants: |W| = prod d_i and
 # sum_w q^l(w) = prod (q^d_i - 1) / (q - 1)
 DEGREES = {
