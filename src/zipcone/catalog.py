@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import linalg, zipcones
 from .cones import check_dim, cone_from_generators, cone_from_inequalities
-from .errors import BadParams, UnknownPreset
+from .errors import BadParams, UnknownPreset, json_integer
 from .rootdata import build_root_datum, split_frobenius, validate_frobenius
 from .zipcones import ZipContext, make_context
 
@@ -47,55 +47,40 @@ def _sp4(q: int):
     return ctx, {}
 
 
+def _restriction(b, r: int, q: int):
+    """The Weil restriction of the split datum b: r block copies of b on
+    Z^(r n_b), sigma shifting the blocks cyclically (block f + 1 onto block
+    f).  Returns the datum, the Frobenius and each block's simple-root
+    indices."""
+    n = b.n * r
+
+    def placed(v, f):
+        return (0,) * (f * b.n) + tuple(v) + (0,) * (n - (f + 1) * b.n)
+
+    roots = [placed(v, f) for f in range(r) for v in b.simple_roots]
+    coroots = [placed(v, f) for f in range(r) for v in b.simple_coroots]
+    rd = build_root_datum((roots, coroots))
+    shift = tuple(tuple(int(j == (i + b.n) % n) for j in range(n)) for i in range(n))
+    blocks = [list(range(f * b.r, (f + 1) * b.r)) for f in range(r)]
+    return rd, validate_frobenius(rd, q, shift), blocks
+
+
 def _hilbert_a1m(m: int, q: int):
     """A1^m in GL2^m coordinates with sigma cycling the factors; I is empty."""
     if m < 1:
         raise BadParams("m must be >= 1")
-    n = 2 * m
-    roots = []
-    for f in range(m):
-        v = [0] * n
-        v[2 * f], v[2 * f + 1] = 1, -1
-        roots.append(tuple(v))
-    rd = build_root_datum((roots, roots))
-    shift = tuple(
-        tuple(1 if j == (i + 2) % n else 0 for j in range(n)) for i in range(n)
-    )
-    ctx = make_context(rd, validate_frobenius(rd, q, shift), [])
-    return ctx, {"blocks": [[f] for f in range(m)]}
+    rd, frob, blocks = _restriction(build_root_datum("GL2"), m, q)
+    return make_context(rd, frob, []), {"blocks": blocks}
 
 
 def _res_split(base: str, r: int, q: int):
-    """Weil restriction of a split group: r block copies of the base datum,
-    sigma cycling the blocks; the Levi drops the first simple root on block 0
-    and is full on the other blocks."""
+    """Weil restriction of a split group; the Levi drops the first simple
+    root on block 0 and is full on the other blocks."""
     if r < 1:
         raise BadParams("r must be >= 1")
-    b = build_root_datum(base)
-    n = b.n * r
-    roots, coroots = [], []
-    blocks = []
-    for f in range(r):
-        idxs = []
-        for k in range(b.r):
-            root = [0] * n
-            coroot = [0] * n
-            root[f * b.n : (f + 1) * b.n] = list(b.simple_roots[k])
-            coroot[f * b.n : (f + 1) * b.n] = list(b.simple_coroots[k])
-            idxs.append(len(roots))
-            roots.append(tuple(root))
-            coroots.append(tuple(coroot))
-        blocks.append(idxs)
-    rd = build_root_datum((roots, coroots))
-    shift = tuple(
-        tuple(1 if j == (i + b.n) % n else 0 for j in range(n)) for i in range(n)
-    )
-    frob = validate_frobenius(rd, q, shift)
-    levi = [i for i in blocks[0][1:]]
-    for f in range(1, r):
-        levi.extend(blocks[f])
-    ctx = make_context(rd, frob, levi)
-    return ctx, {"blocks": blocks, "base_rank": b.r}
+    rd, frob, blocks = _restriction(build_root_datum(base), r, q)
+    levi = blocks[0][1:] + [i for block in blocks[1:] for i in block]
+    return make_context(rd, frob, levi), {"blocks": blocks}
 
 
 _PRESETS = {
@@ -109,10 +94,17 @@ _PRESETS = {
 
 
 def _check_params(what: str, wanted, params) -> None:
+    """BadParams unless params names exactly `wanted`, `base` is a type label
+    string and every other parameter is an integer (not a bool or float)."""
     missing = [k for k in wanted if params.get(k) is None]
     extra = [k for k in params if k not in wanted]
     if missing or extra:
         raise BadParams(f"{what} takes {wanted}; missing {missing}, extra {extra}")
+    for k, v in params.items():
+        if k != "base":
+            json_integer(v, f"{what} parameter {k}")
+        elif not isinstance(v, str):
+            raise BadParams(f"{what} parameter base must be a type label, not {v!r}")
 
 
 def preset_with_meta(name: str, **params):

@@ -23,7 +23,7 @@ from fractions import Fraction as Q
 
 from . import linalg, weyl
 from .cones import RationalCone, check_dim, cone_from_inequalities, equality_pair
-from .errors import DimensionMismatch, InternalError, InvalidR
+from .errors import DimensionMismatch, InternalError, InvalidR, json_integer
 from .rootdata import FrobeniusDatum, RootDatum, pair, perm_orbits, validate_frobenius
 from .weyl import WeylElement
 
@@ -61,20 +61,12 @@ class ZipContext:
         return self._cache["wfix"]
 
 
-def _perm_inverse(perm):
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return tuple(inv)
-
-
 def make_context(rd: RootDatum, frob: FrobeniusDatum, I) -> ZipContext:
-    I = tuple(sorted(set(I)))
+    I = tuple(sorted({json_integer(i, "Levi index") for i in I}))
     if any(i < 0 or i >= rd.r for i in I):
         raise DimensionMismatch("Levi indices out of range")
-    perm = frob.sigma_perm
-    perm_inv = _perm_inverse(perm)
-    orbit_of = {i: orbit for orbit in perm_orbits(perm) for i in orbit}
+    perm_inv = frob.perm_power(-1)
+    orbit_of = {i: orbit for orbit in perm_orbits(frob.sigma_perm) for i in orbit}
     iset = set(I)
     I0 = tuple(sorted(i for i in I if iset.issuperset(orbit_of[i])))
     delta_p = tuple(i for i in range(rd.r) if i not in iset)
@@ -318,31 +310,26 @@ def hw_cone(ctx: ZipContext) -> RationalCone:
 
 
 def check_cond_commute(ctx: ZipContext, alpha_index: int) -> bool:
-    """Pairings between distinct sigma^{-i}(alpha) for 1 <= i < m_alpha vanish
-    both ways and no positive combination of two of them is a root."""
-    m = ctx.m_alpha[alpha_index]
-    if m <= 2:
-        return True
-    sigma_inv = linalg.transpose(ctx.frob.sigma_costar)  # sigma* = (sigma^-1)^T
-    costar_inv = linalg.transpose(ctx.frob.sigma)
-    root = ctx.rd.simple_roots[alpha_index]
-    coroot = ctx.rd.simple_coroots[alpha_index]
-    roots, coroots = [root], [coroot]
-    for _ in range(m - 1):
-        roots.append(linalg.mat_vec(sigma_inv, roots[-1]))
-        coroots.append(linalg.mat_vec(costar_inv, coroots[-1]))
-    record = ctx.rd.root_record()
-    for i in range(1, m - 1):
-        for j in range(i + 1, m):
-            if pair(roots[i], coroots[j]) != 0 or pair(roots[j], coroots[i]) != 0:
-                return False
-            for a in range(1, 4):
-                for b in range(1, 4):
-                    combo = linalg.vec_add(
-                        linalg.vec_scale(a, roots[i]), linalg.vec_scale(b, roots[j])
-                    )
-                    if combo in record or linalg.vec_neg(combo) in record:
-                        return False
+    """The commutation condition on sigma^{-i}(alpha), 1 <= i < m_alpha:
+    the pairings between two distinct ones vanish both ways, and no positive
+    combination of two of them is a root.
+
+    sigma permutes the base, so each sigma^{-i}(alpha) is a simple root and
+    each pairing is a Cartan entry; sigma preserves the Cartan matrix C, so
+    the pair i < j pairs like alpha and sigma^{j-i}(alpha); and two
+    orthogonal simple roots have no positive combination that is a root,
+    since the support of a root is connected.  So the condition is
+    C[alpha][sigma^d(alpha)] = 0 for 1 <= d <= m_alpha - 2.  Walking sigma
+    or sigma^{-1} here gives the same answer, again because sigma
+    preserves C (and C has a symmetric zero pattern).
+    """
+    cartan = ctx.rd.cartan()
+    perm = ctx.frob.sigma_perm
+    j = alpha_index
+    for _ in range(ctx.m_alpha[alpha_index] - 2):
+        j = perm[j]
+        if cartan[alpha_index][j]:
+            return False
     return True
 
 
@@ -396,8 +383,7 @@ def hasse_criteria(ctx: ZipContext) -> dict:
     perm = ctx.frob.sigma_perm
     stable = {perm[i] for i in ctx.I} == set(ctx.I)
     acts_by_opposition = stable and all(
-        linalg.mat_vec(ctx.frob.sigma, ctx.rd.simple_roots[i])
-        == linalg.vec_neg(ctx.w0I.act(ctx.rd.simple_roots[i]))
+        ctx.w0I.act(ctx.rd.simple_roots[i]) == linalg.vec_neg(ctx.rd.simple_roots[perm[i]])
         for i in ctx.I
     )
     return {

@@ -24,6 +24,26 @@ def test_preset_names_and_param_validation():
     assert so3.rd.label == "B1" and so3.rd.simple_roots == ((1,),) and so3.I == ()
 
 
+@pytest.mark.parametrize(
+    "call,name,params",
+    [
+        (catalog.preset, "HilbertA1m", {"m": 2.0, "q": 2}),
+        (catalog.preset, "ResSplit", {"base": "B2", "r": 2.0, "q": 2}),
+        (catalog.preset, "ResSplit", {"base": 3, "r": 2, "q": 2}),
+        (catalog.preset, "SOodd", {"n": True, "q": 2}),
+        (catalog.preset, "U21-inert", {"q": 2.0}),
+        (catalog.reproduce, "SOodd", {"n": "3", "q": 2}),
+        (catalog.reproduce, "SOodd", {"n": 2.0, "q": 2}),
+        (catalog.reproduce, "U21-inert", {"q": True}),
+    ],
+    ids=["hilbert-float-m", "ressplit-float-r", "ressplit-int-base", "soodd-bool-n",
+         "u21-float-q", "reproduce-str-n", "reproduce-float-n", "reproduce-bool-q"],
+)
+def test_untyped_preset_and_reproduce_params_are_bad_params(call, name, params):
+    with pytest.raises(BadParams, match="parameter"):
+        call(name, **params)
+
+
 def test_u21_preset_is_the_inert_picard_context():
     ctx = catalog.preset("U21-inert", q=2)
     assert ctx.rd.label == "GL3" and ctx.I == (0,) and ctx.split_degree == 2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from zipcone import catalog, hasse, linalg, weyl, zipcones
 from zipcone.cones import RationalCone, cone_from_generators, cone_from_inequalities
-from zipcone.errors import CapExceeded, InternalError, InvalidR
+from zipcone.errors import BadParams, CapExceeded, InternalError, InvalidR
 from zipcone.rootdata import (
     build_root_datum,
     datum_from_cartan,
@@ -232,6 +232,99 @@ def test_cond_commute_cases(u21):
     assert all(zipcones.check_cond_commute(res, a) for a in res.delta_p)
 
 
+def block_cartan(parts):
+    """The block-diagonal Cartan matrix of the connected types `parts`."""
+    blocks = [hasse.cartan_matrix(letter, n) for letter, n in parts]
+    r = sum(len(b) for b in blocks)
+    cartan = [[0] * r for _ in range(r)]
+    off = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            cartan[off + i][off : off + len(b)] = row
+        off += len(b)
+    return tuple(tuple(row) for row in cartan)
+
+
+def coordinate_sigma(perm):
+    """On the coroot basis of the simply-connected realization, the diagram
+    automorphism e_i -> e_perm[i] sends alpha_i to alpha_perm[i]."""
+    r = len(perm)
+    return tuple(tuple(int(i == perm[j]) for j in range(r)) for i in range(r))
+
+
+def literal_cond_commute(ctx, alpha_index):
+    """The commutation condition on vectors, the oracle for the Cartan-matrix
+    rule of `check_cond_commute`: sigma^{-1} walked as a matrix on roots and
+    coroots, the pairings checked both ways and every combination
+    a beta + b gamma, a, b in 1..3, looked up among the roots."""
+    m = ctx.m_alpha[alpha_index]
+    if m <= 2:
+        return True
+    sigma_inv = linalg.transpose(ctx.frob.sigma_costar)
+    costar_inv = linalg.transpose(ctx.frob.sigma)
+    roots = [ctx.rd.simple_roots[alpha_index]]
+    coroots = [ctx.rd.simple_coroots[alpha_index]]
+    for _ in range(m - 1):
+        roots.append(linalg.mat_vec(sigma_inv, roots[-1]))
+        coroots.append(linalg.mat_vec(costar_inv, coroots[-1]))
+    record = ctx.rd.root_record()
+    for i in range(1, m - 1):
+        for j in range(i + 1, m):
+            if linalg.dot(roots[i], coroots[j]) or linalg.dot(roots[j], coroots[i]):
+                return False
+            for a in range(1, 4):
+                for b in range(1, 4):
+                    combo = linalg.vec_add(
+                        linalg.vec_scale(a, roots[i]), linalg.vec_scale(b, roots[j])
+                    )
+                    if combo in record or linalg.vec_neg(combo) in record:
+                        return False
+    return True
+
+
+def test_cond_commute_matches_the_literal_condition():
+    # every diagram automorphism and every I of four products at q = 2
+    pairs = failures = 0
+    for parts in ([("A", 2)] * 2, [("A", 3)] * 2, [("D", 4)], [("A", 2)] * 3):
+        cartan = block_cartan(parts)
+        rd = datum_from_cartan(cartan)
+        r = len(cartan)
+        for perm in hasse.diagram_automorphisms(cartan):
+            frob = validate_frobenius(rd, 2, coordinate_sigma(perm))
+            for levi in range(2**r):
+                ctx = zipcones.make_context(rd, frob, [i for i in range(r) if levi >> i & 1])
+                for a in ctx.delta_p:
+                    expected = literal_cond_commute(ctx, a)
+                    assert zipcones.check_cond_commute(ctx, a) is expected, (parts, perm, ctx.I, a)
+                    pairs += 1
+                    failures += not expected
+    assert (pairs, failures) == (11200, 296)
+
+
+def test_uncertified_context_end_to_end():
+    # A2 + A2 with sigma = (2 3 1 0) on the base and I = {0, 1, 2}: the walk
+    # sigma^{-1} from alpha_3 passes alpha_1, alpha_2, alpha_0, so m_3 = 4,
+    # and sigma^2(alpha_3) = alpha_2 is adjacent to alpha_3
+    cartan = block_cartan([("A", 2), ("A", 2)])
+    rd = datum_from_cartan(cartan)
+    perm = (2, 3, 1, 0)
+    ctx = zipcones.make_context(rd, validate_frobenius(rd, 2, coordinate_sigma(perm)), {0, 1, 2})
+    assert ctx.frob.sigma_perm == perm and ctx.m_alpha == {3: 4}
+    assert not zipcones.check_cond_commute(ctx, 3)
+    assert not literal_cond_commute(ctx, 3)
+    assert zipcones.certified_lw(ctx) is False
+    rep = zipcones.zip_report(ctx)
+    assert rep["certified_lw"] is False
+    assert "lw" in rep["cones"] and "lw" not in rep["inner_bounds"]
+
+
+@pytest.mark.parametrize("levi", [[True], [0.0], "01", [Q(1)]], ids=["bool", "float", "str", "fraction"])
+def test_make_context_rejects_non_integer_levi_indices(levi):
+    rd = build_root_datum("GL3")
+    with pytest.raises(BadParams, match="Levi index must be a JSON integer"):
+        zipcones.make_context(rd, split_frobenius(rd, 2), levi)
+
+
 def test_weil_transport_gs_identity():
     for name, ctx in catalog.standard_catalog(2):
         sctx = zipcones.split_context(ctx)
@@ -398,18 +491,37 @@ def test_norm_matrix_matches_enumeration_on_catalog(q):
             assert zipcones.norm_matrix(c) == brute_norm_matrix(c), name
 
 
+def draw_twisted_context(draw, cartan, label=""):
+    """The simply-connected realization of `cartan` with a drawn diagram
+    automorphism as sigma, a drawn q and a drawn I."""
+    rd = datum_from_cartan(cartan, label)
+    perm = draw(st.sampled_from(hasse.diagram_automorphisms(cartan)))
+    q = draw(st.sampled_from([2, 3, 5]))
+    levi = draw(st.sets(st.integers(0, len(cartan) - 1)))
+    return zipcones.make_context(rd, validate_frobenius(rd, q, coordinate_sigma(perm)), levi)
+
+
 @st.composite
 def twisted_contexts(draw):
     letter, rank = draw(st.sampled_from([t for t in hasse.CONNECTED_TYPES if t[1] <= 5]))
-    cartan = hasse.cartan_matrix(letter, rank)
-    rd = datum_from_cartan(cartan, f"{letter}{rank}")
-    perm = draw(st.sampled_from(hasse.diagram_automorphisms(cartan)))
-    # on the coroot basis of the simply-connected realization, the diagram
-    # automorphism e_i -> e_perm[i] sends alpha_i to alpha_perm[i]
-    sigma = tuple(tuple(int(i == perm[j]) for j in range(rank)) for i in range(rank))
-    q = draw(st.sampled_from([2, 3, 5]))
-    levi = draw(st.sets(st.integers(0, rank - 1)))
-    return zipcones.make_context(rd, validate_frobenius(rd, q, sigma), levi)
+    return draw_twisted_context(draw, hasse.cartan_matrix(letter, rank), f"{letter}{rank}")
+
+
+@st.composite
+def product_contexts(draw):
+    """2-3 connected types of total rank <= 6, often equal ones, so that a
+    diagram automorphism can cycle them (a Weil restriction, possibly with a
+    twist on the wrap)."""
+    parts = [draw(st.sampled_from([t for t in hasse.CONNECTED_TYPES if t[1] <= 5]))]
+    for _ in range(draw(st.integers(1, 2))):
+        room = 6 - sum(n for _, n in parts)
+        if room == 0:
+            break
+        if parts[0][1] <= room and draw(st.booleans()):
+            parts.append(parts[0])
+        else:
+            parts.append(draw(st.sampled_from([t for t in hasse.CONNECTED_TYPES if t[1] <= room])))
+    return draw_twisted_context(draw, block_cartan(parts))
 
 
 @settings(max_examples=40, deadline=None)
@@ -437,7 +549,7 @@ def lattice_contexts(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(twisted_contexts(), lattice_contexts()))
+@given(st.one_of(twisted_contexts(), lattice_contexts(), product_contexts()))
 def test_paper_relations_on_drawn_contexts(ctx):
     """Every inner bound lies in the I-dominant cone, and in the partial
     Hasse cone in Hasse type; for a sigma-stable I the lattice criterion

@@ -3,7 +3,7 @@
 
 Direct transcription of the classification tables (sigma trivial / sigma
 nontrivial / maximal / Hodge allow-list) in the fixed vertex numbering of
-zipcone.hasse.cartan_matrix:
+zipcone.rootdata.cartan_matrix:
 
   A_n: path 1..n.  B_n, C_n: path with the double edge at (n-1, n); the
   terminal vertex n is the short (resp. long) root.  D_n: tail 1..n-2,
