@@ -6,10 +6,10 @@ redundant rows in either description are harmless.
 """
 from __future__ import annotations
 
-from . import linalg, zipcones
+from . import zipcones
 from .cones import check_dim, cone_from_generators, cone_from_inequalities
 from .errors import BadParams, UnknownPreset, json_integer
-from .rootdata import build_root_datum, split_frobenius, validate_frobenius
+from .rootdata import SIGMA_ORDER_CAP, build_root_datum, split_frobenius, validate_frobenius
 from .zipcones import ZipContext, make_context
 
 
@@ -67,8 +67,8 @@ def _restriction(b, r: int, q: int):
 
 def _hilbert_a1m(m: int, q: int):
     """A1^m in GL2^m coordinates with sigma cycling the factors; I is empty."""
-    if m < 1:
-        raise BadParams("m must be >= 1")
+    if not 1 <= m <= SIGMA_ORDER_CAP:
+        raise BadParams(f"m must be >= 1 and at most SIGMA_ORDER_CAP = {SIGMA_ORDER_CAP}")
     rd, frob, blocks = _restriction(build_root_datum("GL2"), m, q)
     return make_context(rd, frob, []), {"blocks": blocks}
 
@@ -76,8 +76,8 @@ def _hilbert_a1m(m: int, q: int):
 def _res_split(base: str, r: int, q: int):
     """Weil restriction of a split group; the Levi drops the first simple
     root on block 0 and is full on the other blocks."""
-    if r < 1:
-        raise BadParams("r must be >= 1")
+    if not 1 <= r <= SIGMA_ORDER_CAP:
+        raise BadParams(f"r must be >= 1 and at most SIGMA_ORDER_CAP = {SIGMA_ORDER_CAP}")
     rd, frob, blocks = _restriction(build_root_datum(base), r, q)
     levi = blocks[0][1:] + [i for block in blocks[1:] for i in block]
     return make_context(rd, frob, levi), {"blocks": blocks}
@@ -135,51 +135,6 @@ def standard_catalog(q: int = 2):
         ("HilbertA1m-m3", preset("HilbertA1m", m=3, q=q)),
         ("ResSplit-B2-r2", preset("ResSplit", base="B2", r=2, q=q)),
     ]
-
-
-def res_split_piece_types(ctx: ZipContext, blocks):
-    """The per-block Levi types of the intersected parabolics, two ways.
-
-    Route one applies sigma^{-i} to root vectors and tests membership in I by
-    vector; route two chases indices through the sigma permutation.  Both
-    return, for each block j, the sorted simple-root indices of
-    block_j intersected with all sigma^{-i}(I).
-    """
-    r = len(blocks)
-    iset = set(ctx.I)
-    sigma_inv = linalg.transpose(ctx.frob.sigma_costar)
-    i_vectors = {ctx.rd.simple_roots[i] for i in ctx.I}
-    by_vector = []
-    for j in range(r):
-        keep = []
-        for a in blocks[j]:
-            vec = ctx.rd.simple_roots[a]
-            ok = True
-            img = vec
-            for _ in range(r):
-                if img not in i_vectors:
-                    ok = False
-                    break
-                img = linalg.mat_vec(sigma_inv, img)
-            # i ranges over 0..r-1: sigma^0, sigma^-1, ..., sigma^-(r-1)
-            if ok:
-                keep.append(a)
-        by_vector.append(tuple(sorted(keep)))
-    perm = ctx.frob.sigma_perm
-    by_index = []
-    for j in range(r):
-        keep = []
-        for a in blocks[j]:
-            cur, ok = a, True
-            for _ in range(r):
-                if cur not in iset:
-                    ok = False
-                    break
-                cur = perm[cur]
-            if ok:
-                keep.append(a)
-        by_index.append(tuple(sorted(keep)))
-    return by_vector, by_index
 
 
 # -- expected tables for the worked examples --------------------------------

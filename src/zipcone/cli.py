@@ -116,7 +116,7 @@ def cmd_describe(args) -> int:
 
 def cmd_cone(args) -> int:
     ctx = load_context(args.context)
-    cone = zipcones.build_cone(ctx, args.which)
+    cone = zipcones.report_cone(ctx, args.which)
     out = cone.to_json()
 
     def as_text(o):
@@ -145,7 +145,7 @@ def _parse_lambda(text: str, n: int):
 def cmd_member(args) -> int:
     ctx = load_context(args.context)
     lam = _parse_lambda(args.lam, ctx.rd.n)
-    cone = zipcones.build_cone(ctx, args.which)
+    cone = zipcones.report_cone(ctx, args.which)
     inside = cone.member(lam)
     out = {
         "which": args.which,
@@ -166,8 +166,8 @@ def cmd_member(args) -> int:
 
 def cmd_include(args) -> int:
     ctx = load_context(args.context)
-    outer = zipcones.build_cone(ctx, args.outer)
-    inner = zipcones.build_cone(ctx, args.inner)
+    outer = zipcones.report_cone(ctx, args.outer)
+    inner = zipcones.report_cone(ctx, args.inner)
     ok = outer.contains(inner)
     witness = None if ok else outer.witness_outside(inner)
     out = {

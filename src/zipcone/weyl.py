@@ -139,13 +139,18 @@ def opposition_involution(rd: RootDatum, indices):
 def min_coset_reps(rd: RootDatum, indices, ambient=None, cap: int | None = None):
     """Minimal-length representatives ^K W_ambient of W_K \\ W_ambient.
 
-    Criterion: w is minimal in its coset iff w^{-1}(alpha_k) is positive for
-    all k in K.  Every prefix of a reduced word of such a w is again one, so
-    a BFS by right multiplication that keeps only representatives reaches
-    them all; it carries the vectors w^{-1}(alpha_k), which become
-    s_j w^{-1}(alpha_k) at a step by s_j, so nothing is inverted.  The
-    result is cached on the root datum, and the cap bounds the number of
-    representatives.  Deterministic order: (length, lex of matrix rows).
+    They are walked as one orbit.  v = 2 rho^vee_ambient - 2 rho^vee_K, the
+    sum of the coroots of Phi+_ambient \\ Phi+_K, pairs to 0 with alpha_k for
+    k in K and to at least 2 with every other ambient simple root, so its
+    stabilizer in W_ambient is the parabolic subgroup of K (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.12) and w -> w^{-1}(v) is a
+    bijection from ^K W_ambient onto the orbit of v.  A BFS by right
+    multiplication carries mu = w^{-1}(v) as the key: w s_j is again a
+    representative, one longer, exactly when <alpha_j, mu> > 0, and then
+    its key is the coreflection s_j(mu).  A matrix is built only for a new
+    key.  The result is cached on the root datum, and the cap bounds the
+    number of representatives.  Deterministic order: (length, lex of
+    matrix rows).
     """
     idx = tuple(sorted(indices))
     amb = tuple(range(rd.r)) if ambient is None else tuple(sorted(ambient))
@@ -160,31 +165,31 @@ def min_coset_reps(rd: RootDatum, indices, ambient=None, cap: int | None = None)
 
 
 def _coset_bfs(rd: RootDatum, idx, amb, cap: int):
-    # keyed by the positive roots: a Weyl image of a root is a root, so
-    # membership alone decides its sign
-    positive = rd.root_record()
+    inside = set(rd.positive_roots(idx))
+    v = tuple(0 for _ in range(rd.n))
+    for root, coroot in rd.positive_roots_with_coroots(amb):
+        if root not in inside:
+            v = linalg.vec_add(v, coroot)
     ident = identity_element(rd)
-    seen = {ident.matrix: ident}
-    frontier = [(ident, tuple(rd.simple_roots[k] for k in idx))]
+    seen = {v: ident}
+    frontier = [v]
     while frontier:
         new_frontier = []
-        for w, inv_images in frontier:
+        for mu in frontier:
+            w = seen[mu]
             for j in amb:
-                if linalg.mat_vec(w.matrix, rd.simple_roots[j]) not in positive:
-                    continue  # ell(w s_j) = ell(w) - 1, already seen
-                mat = linalg.mat_mul(w.matrix, rd.reflection_matrix(j))
-                if mat in seen:
+                c = linalg.dot(rd.simple_roots[j], mu)
+                if c <= 0:
+                    continue  # w s_j is shorter, or in the same coset as w
+                nmu = linalg.vec_sub(mu, linalg.vec_scale(c, rd.simple_coroots[j]))
+                if nmu in seen:
                     continue
-                images = tuple(reflect(rd, j, v) for v in inv_images)
-                if not all(v in positive for v in images):
-                    continue  # w s_j = s_k w for some k in K
-                nw = WeylElement(mat, w.length + 1)
-                seen[mat] = nw
-                new_frontier.append((nw, images))
+                mat = linalg.mat_mul(w.matrix, rd.reflection_matrix(j))
+                seen[nmu] = WeylElement(mat, w.length + 1)
+                new_frontier.append(nmu)
                 if len(seen) > cap:
                     raise CapExceeded(
                         f"coset enumeration exceeded cap {cap}", partial_count=len(seen)
                     )
         frontier = new_frontier
     return tuple(sorted(seen.values(), key=WeylElement.key))
-

@@ -163,13 +163,21 @@ def neg_levi_cone(ctx: ZipContext) -> RationalCone:
 
 
 def gs_cone(ctx: ZipContext) -> RationalCone:
-    """Nonnegative on I-coroots, nonpositive on coroots of Phi+ \\ Phi+_L."""
-    iset = set(ctx.I)
+    """Nonnegative on I-coroots, nonpositive on coroots of Phi+ \\ Phi+_L.
+
+    Only the I-dominant coroots gamma^vee (<alpha_i, gamma^vee> >= 0 for all
+    i in I) give rows; the others are implied.  W_L permutes Phi+ \\ Phi+_L,
+    and each W_L-orbit of its coroots holds exactly one I-dominant element
+    gamma^vee; every other element is gamma^vee minus a nonnegative
+    combination of the alpha_i^vee, i in I.  So for I-dominant lam,
+    <lam, w gamma^vee> <= <lam, gamma^vee>, and the I-dominant rows imply
+    all the others (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 13.2).
+    """
+    levi = set(ctx.rd.positive_roots(ctx.I))
     ineqs = [ctx.rd.simple_coroots[i] for i in ctx.I]
     for root, coroot in ctx.rd.positive_roots_with_coroots():
-        coeffs = ctx.rd.root_coefficients(root)
-        in_levi = all(c == 0 for k, c in enumerate(coeffs) if k not in iset)
-        if not in_levi:
+        if root not in levi and all(linalg.dot(ctx.rd.simple_roots[i], coroot) >= 0 for i in ctx.I):
             ineqs.append(linalg.vec_neg(coroot))
     return cone_from_inequalities(ctx.n, ineqs)
 
@@ -257,9 +265,17 @@ def coset_chain(ctx: ZipContext):
     the l(v_t).  The next orbit is one that touches those already taken,
     when any does: growing one component at a time keeps each step as small
     as the diagram allows.  The cap bounds each step before the sigma filter.
+
+    v is kept iff sigma(v(2 rho)) = v(2 rho), for 2 rho the sum of the
+    positive roots.  sigma permutes the base, so u = v^{-1} sigma v sigma^{-1}
+    is in W, and v commutes with sigma iff u = 1.  W acts trivially on the
+    annihilator of the coroots, so u = 1 iff u fixes one regular vector of
+    the root span.  2 rho is regular and sigma-fixed, so u(2 rho) = 2 rho
+    iff sigma v (2 rho) = v (2 rho).
     """
     cap = weyl.enum_cap()  # read even when I0 is empty: a bad value is an error
     cartan = ctx.rd.cartan()
+    two_rho = tuple(map(sum, zip(*ctx.rd.positive_roots())))
     left = [o for o in perm_orbits(ctx.frob.sigma_perm) if o[0] in ctx.I0]
     J = ()
     steps = []
@@ -268,7 +284,9 @@ def coset_chain(ctx: ZipContext):
         left.remove(orbit)
         ambient = tuple(sorted(J + orbit))
         reps = weyl.min_coset_reps(ctx.rd, J, ambient=ambient, cap=cap)
-        steps.append([v for v in reps if weyl.commutes(ctx.frob, v)])
+        steps.append(
+            [v for v in reps if linalg.mat_vec(ctx.frob.sigma, x := v.act(two_rho)) == x]
+        )
         J = ambient
     return steps
 
@@ -291,22 +309,20 @@ def norm_matrix(ctx: ZipContext):
     return ctx._cache["norm"]
 
 
-def _norm_covector(ctx: ZipContext, alpha_index: int, pre_matrix=None):
-    """Covector of sum_{w in W_{L0}(F_q)} sum_{i<r_a} q^{i+l(w)} <w M lam, sigma^i a^vee>
-    (as a <= 0 constraint; the caller flips the sign)."""
-    orbit_part, _ = _orbit_coroot_sum(ctx, ctx.rd.simple_coroots[alpha_index])
-    total = linalg.mat_vec(norm_matrix(ctx), orbit_part)
-    if pre_matrix is not None:
-        total = linalg.mat_vec(linalg.transpose(pre_matrix), total)
-    return total
+def _norm_cone(ctx: ZipContext, deltas, pre) -> RationalCone:
+    """I-dominance plus, for each a in `deltas`, the norm inequality
+    sum_{w in W_{L0}(F_q)} sum_{i<r_a} q^{i+l(w)} <w pre lam, sigma^i a^vee> <= 0."""
+    covectors = linalg.mat_mul(linalg.transpose(pre), norm_matrix(ctx))
+    ineqs = [ctx.rd.simple_coroots[i] for i in ctx.I]
+    for a in deltas:
+        orbit_part, _ = _orbit_coroot_sum(ctx, ctx.rd.simple_coroots[a])
+        ineqs.append(linalg.vec_neg(linalg.mat_vec(covectors, orbit_part)))
+    return cone_from_inequalities(ctx.n, ineqs)
 
 
 def hw_cone(ctx: ZipContext) -> RationalCone:
-    """Highest weight cone: I-dominance plus the norm inequalities over Delta^P."""
-    ineqs = [ctx.rd.simple_coroots[i] for i in ctx.I]
-    for a in ctx.delta_p:
-        ineqs.append(linalg.vec_neg(_norm_covector(ctx, a)))
-    return cone_from_inequalities(ctx.n, ineqs)
+    """Highest weight cone: the norm inequalities over Delta^P."""
+    return _norm_cone(ctx, ctx.delta_p, linalg.mat_identity(ctx.n))
 
 
 def check_cond_commute(ctx: ZipContext, alpha_index: int) -> bool:
@@ -333,19 +349,11 @@ def check_cond_commute(ctx: ZipContext, alpha_index: int) -> bool:
     return True
 
 
-def lw_cone(ctx: ZipContext):
-    """Lowest weight cone and its certification flag.
-
-    The norm inequalities are evaluated at lam_0 = w_{0,I0} w_{0,I} lam and
-    range over Delta^{P0}.  The containment in the zip cone is guaranteed
-    only when every alpha in Delta^P passes the commutation condition;
-    `certified` reports exactly that.
-    """
-    pre = linalg.mat_mul(ctx.w0I0.matrix, ctx.w0I.matrix)
-    ineqs = [ctx.rd.simple_coroots[i] for i in ctx.I]
-    for a in ctx.delta_p0:
-        ineqs.append(linalg.vec_neg(_norm_covector(ctx, a, pre_matrix=pre)))
-    return cone_from_inequalities(ctx.n, ineqs), certified_lw(ctx)
+def lw_cone(ctx: ZipContext) -> RationalCone:
+    """Lowest weight cone: the norm inequalities over Delta^{P0}, evaluated at
+    lam_0 = w_{0,I0} w_{0,I} lam.  It lies in the zip cone when
+    `certified_lw` holds."""
+    return _norm_cone(ctx, ctx.delta_p0, linalg.mat_mul(ctx.w0I0.matrix, ctx.w0I.matrix))
 
 
 def certified_lw(ctx: ZipContext) -> bool:
@@ -404,7 +412,7 @@ def report_cone(ctx: ZipContext, which: str) -> RationalCone:
     """The completed cone `which` (a name in CONE_BUILDERS or REPORT_CONES).
 
     Each is built once per context and kept in ctx._cache, so `zip_report`,
-    `build_cone` and `catalog.reproduce` share one copy.  A completed cone is
+    the CLI and `catalog.reproduce` share one copy.  A completed cone is
     never changed: every RationalCone method that makes another cone returns
     a new object.
     """
@@ -429,18 +437,11 @@ def _build(ctx: ZipContext, which: str) -> RationalCone:
     if which == "hw":
         return hw_cone(ctx)
     if which == "lw":
-        return lw_cone(ctx)[0]
+        return lw_cone(ctx)
     if which == "weil_hw":
         hw = report_cone(split_context(ctx), "hw")
         return weil_transport(ctx, ctx.split_degree, hw)
     raise DimensionMismatch(f"unknown cone name {which!r}")
-
-
-def build_cone(ctx: ZipContext, which: str) -> RationalCone:
-    """The completed cone `which`, a name in CONE_BUILDERS."""
-    if which not in CONE_BUILDERS:
-        raise DimensionMismatch(f"unknown cone name {which!r}")
-    return report_cone(ctx, which)
 
 
 def zip_report(ctx: ZipContext) -> dict:

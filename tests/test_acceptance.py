@@ -90,7 +90,7 @@ def test_criterion_04_inclusion_property_suite():
         assert len(cat) >= 10
         for name, ctx in cat:
             hw = zipcones.hw_cone(ctx)
-            lw, _ = zipcones.lw_cone(ctx)
+            lw = zipcones.lw_cone(ctx)
             gs = zipcones.gs_cone(ctx)
             pha = zipcones.pha_cone(ctx)
             idom = zipcones.i_dominant_cone(ctx)

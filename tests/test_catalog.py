@@ -1,4 +1,5 @@
 import json
+import time
 from collections import Counter
 
 import pytest
@@ -73,7 +74,7 @@ def test_quotient_map_kernel_is_declared_lineality():
 
 def test_determinant_direction_in_every_u21_cone():
     ctx = catalog.preset("U21-inert", q=3)
-    lw, _ = zipcones.lw_cone(ctx)
+    lw = zipcones.lw_cone(ctx)
     for cone in (
         zipcones.i_dominant_cone(ctx),
         zipcones.neg_levi_cone(ctx),
@@ -86,13 +87,18 @@ def test_determinant_direction_in_every_u21_cone():
 
 
 def test_res_split_derived_data_two_ways():
+    # the simple roots of the blocks that every sigma^{-i} keeps in I are I0
     for base, r in (("B2", 2), ("A2", 3)):
         ctx, meta = catalog.preset_with_meta("ResSplit", base=base, r=r, q=2)
-        blocks = meta["blocks"]
-        by_vector, by_index = catalog.res_split_piece_types(ctx, blocks)
-        assert by_vector == by_index
-        flattened = tuple(sorted(i for piece in by_index for i in piece))
-        assert flattened == ctx.I0
+        inv, kept = ctx.frob.perm_power(-1), []
+        for block in meta["blocks"]:
+            for a in block:
+                walk = [a]
+                while len(walk) < r:
+                    walk.append(inv[walk[-1]])
+                if set(walk) <= set(ctx.I):
+                    kept.append(a)
+        assert tuple(sorted(kept)) == ctx.I0
 
 
 def test_res_split_frobenius_cycles_blocks():
@@ -116,13 +122,25 @@ def test_reproduce_u21(q):
 
 
 @pytest.mark.parametrize(
-    "n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (6, 2), (6, 3), (7, 2), (7, 3)]
+    "n,q", [(2, 2), (2, 3), (3, 2), (3, 3), (6, 2), (6, 3), (7, 2), (7, 3), (12, 2)]
 )
 def test_reproduce_so_odd(n, q):
     rep = catalog.reproduce("SOodd", n=n, q=q)
     assert rep["passed"], rep
     names = {row["name"] for row in rep["rows"]}
     assert {"gs", "pha", "hw", "lw", "zip", "idominant", "neglevi"} <= names
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("HilbertA1m", {"m": 49, "q": 2}), ("ResSplit", {"base": "B2", "r": 49, "q": 2})],
+    ids=["hilbert-m49", "ressplit-r49"],
+)
+def test_restriction_past_the_sigma_order_cap_fails_before_building(name, params):
+    start = time.perf_counter()
+    with pytest.raises(BadParams, match="SIGMA_ORDER_CAP = 48"):
+        catalog.preset(name, **params)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_reproduce_so_odd_n2_hw_equals_pha():

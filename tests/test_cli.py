@@ -318,7 +318,7 @@ def test_rank_13_context_describes_but_builds_no_cone(capsys, contexts):
     with pytest.raises(DimensionTooLarge):
         zipcones.zip_report(ctx)
     with pytest.raises(DimensionTooLarge):
-        zipcones.build_cone(ctx, "dominant")
+        zipcones.report_cone(ctx, "dominant")
 
 
 # -- fuzzing the argument space --------------------------------------------------

@@ -180,6 +180,9 @@ def _filtered_ambient(rd, indices, ambient):
         ("B2", (0,), (0, 1)),
         ("B3", (1, 2), (0, 1, 2)),
         ("A3", (0, 2), (0, 1, 2)),
+        ("D4", (0, 2, 3), (0, 1, 2, 3)),
+        ("G2", (0,), (0, 1)),
+        ("B3", (0,), (1, 2)),  # K outside the ambient: all of W_ambient
     ],
 )
 def test_min_coset_reps_equals_filtered_ambient_enumeration(label, K, ambient):

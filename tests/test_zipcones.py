@@ -1,5 +1,6 @@
 """Zip-context derived data and the weight cones of the worked examples."""
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction as Q
@@ -58,7 +59,7 @@ def test_context_full_levi_degenerate():
     assert ctx.I0 == (0, 1)
     # hw and lw collapse to the I-dominant cone
     assert zipcones.hw_cone(ctx).equal(zipcones.i_dominant_cone(ctx))
-    lw, _ = zipcones.lw_cone(ctx)
+    lw = zipcones.lw_cone(ctx)
     assert lw.equal(zipcones.i_dominant_cone(ctx))
 
 
@@ -183,21 +184,21 @@ def test_neg_levi_inside_hw_everywhere():
 
 
 def test_lw_cone_u21_equals_zip(u21):
-    lw, certified = zipcones.lw_cone(u21)
-    assert certified  # m_alpha = 2: the commutation condition is vacuous
+    lw = zipcones.lw_cone(u21)
+    assert zipcones.certified_lw(u21)  # m_alpha = 2: the commutation condition is vacuous
     assert quotient(lw).equal(cone_from_inequalities(2, [(1, -1), (-1, -1)]))
 
 
 def test_lw_equals_hw_when_sigma_fixes_I():
     for name in ("SOodd-n3", "GL3-split", "Sp4"):
         ctx = dict(catalog.standard_catalog(2))[name]
-        lw, _ = zipcones.lw_cone(ctx)
+        lw = zipcones.lw_cone(ctx)
         assert lw.equal(zipcones.hw_cone(ctx)), name
 
 
 def test_gs_inside_lw_on_catalog():
     for name, ctx in catalog.standard_catalog(2):
-        lw, _ = zipcones.lw_cone(ctx)
+        lw = zipcones.lw_cone(ctx)
         assert lw.contains(zipcones.gs_cone(ctx)), name
 
 
@@ -211,7 +212,6 @@ def test_certified_lw_computed_without_the_lw_cone(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(zipcones, "lw_cone", no_lw_cone)
             assert zipcones.certified_lw(fresh) is expected, name
-        assert zipcones.lw_cone(fresh)[1] is expected, name
         assert zipcones.zip_report(fresh)["certified_lw"] is expected, name
 
 
@@ -371,7 +371,7 @@ def test_weil_transport_hw_lands_in_zip_cone(u21):
     sctx = zipcones.split_context(u21, 2)
     inner = zipcones.hw_cone(sctx)
     moved = zipcones.weil_transport(u21, 2, inner)
-    zipc = quotient(zipcones.lw_cone(u21)[0])
+    zipc = quotient(zipcones.lw_cone(u21))
     for g in moved.generators:
         assert zipc.member(
             (g[0] - g[2], g[1] - g[2])
@@ -440,13 +440,13 @@ def test_hasse_type_pha_binding_only_on_delta_p():
 
 def test_zip_membership_of_paper_counterexample(u21):
     # quotient point (x, y) = (-(q-1), q) = (-1, 2) violates (q-1)x + y <= 0
-    lw, _ = zipcones.lw_cone(u21)
+    lw = zipcones.lw_cone(u21)
     assert not lw.member((-1, 2, 0))
     assert not quotient(lw).member((-1, 2))
 
 
 def test_u21_cones_pairwise_distinct(u21):
-    lw, _ = zipcones.lw_cone(u21)
+    lw = zipcones.lw_cone(u21)
     cones = {
         "pha": zipcones.pha_cone(u21),
         "gs": zipcones.gs_cone(u21),
@@ -548,12 +548,70 @@ def lattice_contexts(draw):
     return zipcones.make_context(rd, validate_frobenius(rd, q, sigma), levi)
 
 
+def full_row_gs_cone(ctx):
+    """Oracle: I-dominance and -beta^vee for every beta in Phi+ \\ Phi+_L."""
+    ineqs = [ctx.rd.simple_coroots[i] for i in ctx.I]
+    for root, coroot in ctx.rd.positive_roots_with_coroots():
+        coeffs = ctx.rd.root_coefficients(root)
+        if any(c for k, c in enumerate(coeffs) if k not in ctx.I):
+            ineqs.append(linalg.vec_neg(coroot))
+    return cone_from_inequalities(ctx.n, ineqs)
+
+
+def assert_gs_cone_matches_full_rows(ctx):
+    got = zipcones.gs_cone(ctx).complete().to_json()
+    assert got == full_row_gs_cone(ctx).complete().to_json(), (ctx.rd.label, ctx.I)
+
+
+def test_gs_cone_equals_full_row_builder_on_every_levi_of_rank_le_5():
+    count = 0
+    for letter, rank in hasse.CONNECTED_TYPES:
+        if rank > 5:
+            continue
+        rd = build_root_datum(f"{letter}{rank}")
+        for k in range(rank + 1):
+            for levi in itertools.combinations(range(rank), k):
+                assert_gs_cone_matches_full_rows(
+                    zipcones.make_context(rd, split_frobenius(rd, 2), levi)
+                )
+                count += 1
+    assert count == 246
+
+
+def assert_vector_sigma_test_is_commutation(ctx):
+    """Each chain step keeps exactly the representatives that commute with
+    sigma as lattice maps; returns how many it dropped."""
+    candidates = []
+    real = weyl.min_coset_reps
+
+    def recording(*args, **kwargs):
+        candidates.append(real(*args, **kwargs))
+        return candidates[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(weyl, "min_coset_reps", recording)
+        steps = zipcones.coset_chain(ctx)
+    assert steps == [[v for v in reps if weyl.commutes(ctx.frob, v)] for reps in candidates]
+    return sum(len(reps) for reps in candidates) - sum(len(step) for step in steps)
+
+
+def test_vector_sigma_test_is_commutation_on_catalog():
+    dropped = 0
+    for _, ctx in catalog.standard_catalog(2):
+        for c in (ctx, zipcones.split_context(ctx)):
+            dropped += assert_vector_sigma_test_is_commutation(c)
+    assert dropped > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(twisted_contexts(), lattice_contexts(), product_contexts()))
 def test_paper_relations_on_drawn_contexts(ctx):
     """Every inner bound lies in the I-dominant cone, and in the partial
     Hasse cone in Hasse type; for a sigma-stable I the lattice criterion
-    agrees with the opposition condition of the induced Dynkin triple."""
+    agrees with the opposition condition of the induced Dynkin triple.  The
+    reduced GS rows and the vector sigma test agree with their oracles."""
+    assert_gs_cone_matches_full_rows(ctx)
+    assert_vector_sigma_test_is_commutation(ctx)
     rep = zipcones.zip_report(ctx)
     for name in rep["inner_bounds"]:
         assert [name, "idominant"] in rep["inclusions"], name
