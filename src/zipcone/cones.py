@@ -22,10 +22,13 @@ def check_dim(dim: int) -> None:
         raise DimensionTooLarge(f"dimension {dim} exceeds cap {DIM_CAP}")
 
 
-def _tight_set(vec, constraints):
-    return frozenset(
-        i for i, a in enumerate(constraints) if linalg.dot(a, vec) == 0
-    )
+def _project(a, s, piv, x):
+    """s*x - <a, x>*piv made primitive, where s = <a, piv> > 0: x moved along
+    piv onto the hyperplane <a, .> = 0.  x itself when <a, x> = 0."""
+    t = linalg.dot(a, x)
+    if t == 0:
+        return x
+    return linalg.primitive(linalg.vec_sub(linalg.vec_scale(s, x), linalg.vec_scale(t, piv)))
 
 
 def dual_description(dim: int, ineqs):
@@ -34,77 +37,50 @@ def dual_description(dim: int, ineqs):
     Incremental double description; returns (rays, lineality_basis) in
     canonical form: the basis is the primitive rows of the lineality's RREF,
     and the rays are primitive, reduced modulo that RREF and sorted.
+
+    `rays` maps each ray to its tight set as a bitmask: bit k is set iff
+    <ineqs[k], ray> = 0, for the rows inserted so far.  The masks are updated
+    as each row is inserted and stay exact, so two rays are adjacent iff no
+    third ray's mask contains the bits the two share (Fukuda & Prodon, 1996).
+    Every inserted row vanishes on the lineality `lin`, so projecting a ray
+    along a pivot of `lin` only scales its pairings with those rows: the
+    projected ray keeps its mask, and the pivot is tight at every earlier row.
     """
     check_dim(dim)
     lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
-    rays: list = []
-    inserted: list = []
-    for a in ineqs:
-        a = linalg.primitive(a)
-        if linalg.is_zero(a):
-            continue
+    rays: dict = {}
+    for k, a in enumerate(ineqs):
+        a, bit = linalg.primitive(a), 1 << k
         piv = next((l for l in lin if linalg.dot(a, l) != 0), None)
         if piv is not None:
+            lin.remove(piv)
             s = linalg.dot(a, piv)
             if s < 0:
                 piv, s = linalg.vec_neg(piv), -s
-            new_lin = []
-            for l in lin:
-                t = linalg.dot(a, l)
-                if t == 0:
-                    new_lin.append(l)
-                elif l not in (piv, linalg.vec_neg(piv)):
-                    new_lin.append(
-                        linalg.primitive(
-                            linalg.vec_sub(linalg.vec_scale(s, l), linalg.vec_scale(t, piv))
-                        )
-                    )
-            projected = []
-            for r in rays:
-                p = linalg.primitive(
-                    linalg.vec_sub(linalg.vec_scale(s, r), linalg.vec_scale(linalg.dot(a, r), piv))
+            lin = [_project(a, s, piv, l) for l in lin]
+            rays = {_project(a, s, piv, r): m | bit for r, m in rays.items()}
+            rays[piv] = bit - 1
+            continue
+        vecs, masks = list(rays), list(rays.values())
+        vals = [linalg.dot(a, r) for r in vecs]
+        rays = {r: m | bit if v == 0 else m for r, m, v in zip(vecs, masks, vals) if v >= 0}
+        plus = [i for i, v in enumerate(vals) if v > 0]
+        minus = [i for i, v in enumerate(vals) if v < 0]
+        for ip in plus:
+            for im in minus:
+                common = masks[ip] & masks[im]
+                if any(common & m == common for i, m in enumerate(masks) if i != ip and i != im):
+                    continue  # a third ray is tight wherever both are: not adjacent
+                combo = linalg.vec_sub(
+                    linalg.vec_scale(vals[ip], vecs[im]), linalg.vec_scale(vals[im], vecs[ip])
                 )
-                # rays equal modulo the pivot direction collapse here; keeping
-                # duplicates would poison the tight-set adjacency test later
-                if not linalg.is_zero(p) and p not in projected:
-                    projected.append(p)
-            projected.append(piv)
-            rays = projected
-            lin = new_lin
-        else:
-            vals = [linalg.dot(a, r) for r in rays]
-            if all(v >= 0 for v in vals):
-                pass  # constraint is implied on the current cone
-            else:
-                tights = [_tight_set(r, inserted) for r in rays]
-                plus = [i for i, v in enumerate(vals) if v > 0]
-                zero = [i for i, v in enumerate(vals) if v == 0]
-                minus = [i for i, v in enumerate(vals) if v < 0]
-                new_rays = [rays[i] for i in plus + zero]
-                for ip in plus:
-                    for im in minus:
-                        common = tights[ip] & tights[im]
-                        adjacent = not any(
-                            k not in (ip, im) and common <= tights[k]
-                            for k in range(len(rays))
-                        )
-                        if not adjacent:
-                            continue
-                        combo = linalg.vec_sub(
-                            linalg.vec_scale(vals[ip], rays[im]),
-                            linalg.vec_scale(vals[im], rays[ip]),
-                        )
-                        combo = linalg.primitive(combo)
-                        if not linalg.is_zero(combo) and combo not in new_rays:
-                            new_rays.append(combo)
-                rays = new_rays
-        inserted.append(a)
+                rays[linalg.primitive(combo)] = common | bit
     if not lin:
-        return tuple(sorted(set(rays))), ()
+        return tuple(sorted(rays)), ()
     red, piv_cols = linalg.rref(lin)
-    rays = [linalg.primitive(linalg.reduce_mod_subspace(r, red, piv_cols)) for r in rays]
-    rays = [r for r in rays if not linalg.is_zero(r)]
-    return tuple(sorted(set(rays))), tuple(red)
+    # every ray lies in the cone but outside span(lin), so none reduces to zero
+    rays = {linalg.primitive(linalg.reduce_mod_subspace(r, red, piv_cols)) for r in rays}
+    return tuple(sorted(rays)), tuple(red)
 
 
 def _merge(rays, lin):

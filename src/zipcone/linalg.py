@@ -100,17 +100,13 @@ def mat_pow(m: Mat, k: int) -> Mat:
     return out
 
 
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return all(tuple(r1) == tuple(r2) for r1, r2 in zip(a, b))
-
-
 def mat_order(m: Mat, cap: int = 10000) -> int:
     """Multiplicative order of m, or raise if it exceeds cap."""
     n = len(m)
     ident = mat_identity(n)
     cur = m
     for k in range(1, cap + 1):
-        if mat_eq(cur, ident):
+        if cur == ident:
             return k
         cur = mat_mul(cur, m)
     raise SingularMap(f"matrix order exceeds cap {cap}")

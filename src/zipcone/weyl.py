@@ -48,15 +48,6 @@ def reflect(rd: RootDatum, alpha_index: int, lam):
     return linalg.mat_vec(rd.reflection_matrix(alpha_index), lam)
 
 
-def inversion_length(rd: RootDatum, matrix) -> int:
-    """ell(w) = #{beta in Phi+ : w(beta) in Phi-}."""
-    count = 0
-    for root in rd.positive_roots():
-        if not rd.is_positive_root_vector(linalg.mat_vec(matrix, root)):
-            count += 1
-    return count
-
-
 def longest_element(rd: RootDatum, indices) -> WeylElement:
     """w_{0,K} by the antidominance walk from 2*rho_K."""
     idx = tuple(sorted(indices))

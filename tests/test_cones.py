@@ -1,4 +1,6 @@
 """Cone engine tests; Fourier-Motzkin is the independent oracle throughout."""
+import itertools
+import math
 import random
 
 import pytest
@@ -164,6 +166,62 @@ def test_random_round_trips_and_fm_agreement():
         assert c.equal(fm_cone(dim, gens))
         for g in gens:
             assert c.member(g)
+
+
+def _det(m):
+    """Determinant by fraction-free (Bareiss) elimination."""
+    m = [list(r) for r in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
+def brute_force_facets(dim, rows):
+    """Sorted primitive facet normals of cone(rows): the cofactor normal of
+    every (dim - 1)-subset of rank dim - 1, kept (or negated) when all rows
+    lie on one side of it."""
+    facets = set()
+    for sub in itertools.combinations(rows, dim - 1):
+        normal = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in sub]) for j in range(dim)]
+        g = math.gcd(*normal)
+        if g == 0:  # every minor vanishes: rank below dim - 1
+            continue
+        normal = tuple(x // g for x in normal)
+        sides = {sum(x * y for x, y in zip(normal, r)) for r in rows}
+        if min(sides) >= 0:
+            facets.add(normal)
+        elif max(sides) <= 0:
+            facets.add(tuple(-x for x in normal))
+    return tuple(sorted(facets))
+
+
+def test_dd_matches_brute_force_facets_in_dims_6_and_7():
+    # the cones-benchmark regime, where the DD adjacency test decides which
+    # ray pairs combine; the FM and drawn tests stop at dim 5
+    rnd = random.Random(12)
+    for dim, nrows in ((6, 9), (6, 10), (6, 11), (6, 11), (7, 9), (7, 10), (7, 11), (7, 11)):
+        while True:  # a positive first coordinate keeps cone(rows) pointed
+            rows = [
+                (rnd.randint(1, 3),) + tuple(rnd.randint(-3, 3) for _ in range(dim - 1))
+                for _ in range(nrows)
+            ]
+            facets = brute_force_facets(dim, rows)
+            # full rank gives at least dim facets, lower rank at most two
+            if len(facets) >= dim:
+                break
+        assert cone_from_generators(dim, rows).inequalities == facets
+        # by polarity the facet normals of cone(rows) generate {x : rows x >= 0}
+        assert cone_from_inequalities(dim, rows).generators == facets
 
 
 def test_both_sides_must_describe_same_cone():
