@@ -45,6 +45,15 @@ def dual_description(dim: int, ineqs):
     Every inserted row vanishes on the lineality `lin`, so projecting a ray
     along a pivot of `lin` only scales its pairings with those rows: the
     projected ray keeps its mask, and the pivot is tight at every earlier row.
+
+    Before that scan, a pair whose masks share fewer than d - 2 bits, with
+    d = dim - len(lin), is skipped.  This is exact and never changes a
+    decision: modulo `lin` the current cone is pointed in a space of
+    dimension d, and when no third ray contains the common bits the two rays
+    span a 2-dimensional face of it, cut out by exactly the common rows; their
+    kernel is then that face's span plus `lin`, so their rank is d - 2.  Zero
+    or repeated rows only add bits, so they can only make the count test
+    skip fewer pairs, never a pair the scan would keep.
     """
     check_dim(dim)
     lin = [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
@@ -66,9 +75,12 @@ def dual_description(dim: int, ineqs):
         rays = {r: m | bit if v == 0 else m for r, m, v in zip(vecs, masks, vals) if v >= 0}
         plus = [i for i, v in enumerate(vals) if v > 0]
         minus = [i for i, v in enumerate(vals) if v < 0]
+        need = dim - len(lin) - 2
         for ip in plus:
             for im in minus:
                 common = masks[ip] & masks[im]
+                if common.bit_count() < need:
+                    continue  # too few shared tight rows to span an edge
                 if any(common & m == common for i, m in enumerate(masks) if i != ip and i != im):
                     continue  # a third ray is tight wherever both are: not adjacent
                 combo = linalg.vec_sub(

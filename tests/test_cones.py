@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from zipcone.cones import (
     cone_from_inequalities,
 )
 from zipcone.errors import BadParams, DimensionMismatch, DimensionTooLarge
+
+from oracles import dual_description_unpruned
 
 
 def fm_cone(dim, gens):
@@ -222,6 +225,78 @@ def test_dd_matches_brute_force_facets_in_dims_6_and_7():
         assert cone_from_generators(dim, rows).inequalities == facets
         # by polarity the facet normals of cone(rows) generate {x : rows x >= 0}
         assert cone_from_inequalities(dim, rows).generators == facets
+
+
+def brute_force_generators_mod_line(dim, rows, facets, l):
+    """Canonical generators of cone(rows) when it is full-dimensional with
+    lineality span(l): each row reduced modulo the RREF of l and kept when the
+    facets tight at it have rank dim - 2, plus +-that basis row."""
+    red, pivots = linalg.rref([l])
+    gens = {linalg.vec_neg(red[0]), red[0]}
+    for r in rows:
+        if linalg.rank([h for h in facets if linalg.dot(h, r) == 0]) == dim - 2:
+            gens.add(linalg.primitive(linalg.reduce_mod_subspace(r, red, pivots)))
+    return tuple(sorted(gens))
+
+
+def test_dd_matches_brute_force_with_lineality_in_dims_6_and_7():
+    # the given side carries a line: +-l among the generators (V route) or an
+    # equality +-l among the inequalities (H route); each completion then
+    # recomputes that side in a DD pass whose rows all vanish on l, so `lin`
+    # keeps the line l through every insertion that combines ray pairs
+    rnd = random.Random(13)
+    for dim, nrows in ((6, 8), (6, 10), (7, 8), (7, 10)):
+        while True:
+            # rows with a positive first coordinate and l with a zero one keep
+            # the quotient by l pointed
+            l = (0,) + tuple(rnd.randint(-2, 2) for _ in range(dim - 1))
+            rows = [
+                (rnd.randint(1, 3),) + tuple(rnd.randint(-3, 3) for _ in range(dim - 1))
+                for _ in range(nrows)
+            ] + [l, linalg.vec_neg(l)]
+            if any(l) and linalg.rank(rows) == dim:
+                break
+        facets = brute_force_facets(dim, rows)
+        assert len(facets) >= dim and all(linalg.dot(h, l) == 0 for h in facets)
+        gens = brute_force_generators_mod_line(dim, rows[:-2], facets, l)
+        v_route = cone_from_generators(dim, rows)
+        assert (v_route.inequalities, v_route.generators) == (facets, gens)
+        h_route = cone_from_inequalities(dim, rows)
+        assert (h_route.generators, h_route.inequalities) == (facets, gens)
+
+
+def fuzzed_dd_rows(rnd, dim):
+    """Rows with the degeneracies the DD count test must survive: zero,
+    repeated, negated and Fraction rows, and rows that all vanish on a line."""
+    rows = [tuple(rnd.randint(-3, 3) for _ in range(dim)) for _ in range(rnd.randint(0, dim + 5))]
+    l = tuple(rnd.randint(-2, 2) for _ in range(dim))
+    if any(l) and rnd.random() < 0.4:  # project every row onto l-perp
+        ll = linalg.dot(l, l)
+        rows = [linalg.vec_sub(linalg.vec_scale(ll, r), linalg.vec_scale(linalg.dot(r, l), l)) for r in rows]
+    extra = []
+    for r in rows:
+        roll = rnd.random()
+        if roll < 0.1:
+            extra.append(r)
+        elif roll < 0.2:
+            extra.append(linalg.vec_neg(r))
+        elif roll < 0.3:
+            extra.append(tuple(Fraction(x, 2) for x in r))
+    if rnd.random() < 0.3:
+        extra.append((0,) * dim)
+    rows += extra
+    rnd.shuffle(rows)
+    return rows
+
+
+def test_dd_equals_unpruned_oracle_on_fuzzed_rows():
+    # the count test on shared tight rows only skips pairs the third-ray scan
+    # rejects, so the output tuples are those of the loop without it
+    rnd = random.Random(2024)
+    for _ in range(1500):
+        dim = rnd.randint(0, 7)
+        rows = fuzzed_dd_rows(rnd, dim)
+        assert dual_description(dim, rows) == dual_description_unpruned(dim, rows), (dim, rows)
 
 
 def test_both_sides_must_describe_same_cone():
